@@ -65,11 +65,24 @@ _OVERRIDE_SECTIONS = {
     "pattern": PatternSpec,
     "network": network.Network,
 }
+# Fields a preset fixes: the topology is chosen by the preset name.
+_FIXED_FIELDS = {"network": {"topology"}}
 
 
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _check_seed(seed: Any, name: str) -> None:
+    _expect(isinstance(seed, int) and not isinstance(seed, bool),
+            f"{name} must be an integer")
+    _expect(0 <= seed < 2 ** 64, f"{name} must fit in 64 unsigned bits")
+
+
+def _check_count(value: Any, name: str) -> None:
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+            f"{name} must be a positive integer")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -93,19 +106,15 @@ def parse_config(text: str) -> RunConfig:
             f"unknown preset {preset!r} (known: {list(PRESET_NAMES)})")
 
     seed = doc.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool),
-            "field 'seed' must be an integer")
-    _expect(0 <= seed < 2 ** 64, "field 'seed' must fit in 64 unsigned bits")
+    _check_seed(seed, "field 'seed'")
 
     out_dir = doc.get("out_dir", "out")
     _expect(isinstance(out_dir, str), "field 'out_dir' must be a string")
 
     trials = doc.get("trials", 1000)
-    _expect(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
-            "field 'trials' must be a positive integer")
+    _check_count(trials, "field 'trials'")
     threads = doc.get("threads", 1)
-    _expect(isinstance(threads, int) and not isinstance(threads, bool) and threads >= 1,
-            "field 'threads' must be a positive integer")
+    _check_count(threads, "field 'threads'")
 
     overrides = doc.get("overrides", {})
     _expect(isinstance(overrides, dict), "field 'overrides' must be an object")
@@ -115,7 +124,8 @@ def parse_config(text: str) -> RunConfig:
                 f"(allowed: {sorted(_OVERRIDE_SECTIONS)})")
         _expect(isinstance(patch, dict),
                 f"override section {section!r} must be an object")
-        allowed = {f.name for f in dataclasses.fields(_OVERRIDE_SECTIONS[section])}
+        allowed = ({f.name for f in dataclasses.fields(_OVERRIDE_SECTIONS[section])}
+                   - _FIXED_FIELDS.get(section, set()))
         for key, value in patch.items():
             _expect(key in allowed,
                     f"unknown key '{section}.{key}' (allowed: {sorted(allowed)})")
@@ -209,8 +219,8 @@ def _asdict_clean(obj: Any) -> Any:
 
 
 def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
-    # threads is an execution detail, not a run parameter: runs with
-    # identical manifests are byte-identical regardless of thread count.
+    # threads is accepted but ignored, so it is not a run parameter: runs
+    # with identical manifests are byte-identical whatever it says.
     manifest = {
         "tool": "memstp",
         "version": __version__,
@@ -303,7 +313,7 @@ def _run_detector_preset(config: RunConfig, out: Path,
     for order in patterns:
         spec = dataclasses.replace(pattern, order=order)
         p_spike, records = network.monte_carlo(
-            net, spec, config.trials, config.seed, threads=config.threads)
+            net, spec, config.trials, config.seed)
         emit_csv(records, out / f"trials_{order.value}.csv")
         summary[order.value] = p_spike
         print(f"{topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
@@ -379,10 +389,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     config = parse_config(text)
     if args.seed is not None:
+        _check_seed(args.seed, "--seed")
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = args.out
     if args.threads is not None:
+        _check_count(args.threads, "--threads")
         config.threads = args.threads
     return run_config(config)
 
@@ -421,6 +433,9 @@ _TOPOLOGY_CHOICES = {"sequence": "fig4_sequence", "control": "fig4_control",
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    _check_seed(args.seed, "--seed")
+    _check_count(args.trials, "--trials")
+    _check_count(args.threads, "--threads")
     config = RunConfig(preset=_TOPOLOGY_CHOICES[args.topology], seed=args.seed,
                        out_dir=args.out, trials=args.trials,
                        threads=args.threads)
@@ -451,6 +466,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return run_config(config)
 
 
+_THREADS_HELP = ("ignored: detector trials run batched in one process; "
+                 "accepted so existing scripts and configs keep working")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memstp",
@@ -462,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out")
-    p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit model parameters to CSV data")
@@ -480,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="both")
     p_det.add_argument("--trials", type=int, default=1000)
     p_det.add_argument("--seed", type=int, default=0)
-    p_det.add_argument("--threads", type=int, default=1)
+    p_det.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_det.add_argument("--out", default="out")
     p_det.set_defaults(func=_cmd_detect)
 

@@ -129,7 +129,12 @@ class DeviceParams:
 
 @dataclass(frozen=True)
 class DeviceState:
-    """Dynamic device state at time ``t_last``."""
+    """Dynamic device state at time ``t_last``.
+
+    ``decay_to`` and the pulse kernel also accept a batch of devices driven
+    by one pulse sequence: g_eq, delta_g, acc and mode are then arrays over
+    the batch, and the remaining fields are shared.
+    """
 
     g_eq: float
     u: float
@@ -223,46 +228,68 @@ def apply_pulse(
     Sub-threshold pulses do not count as write events: they leave tau_d and
     t_last_pulse alone so that periodic read probes cannot drive the rate law.
     """
-    state = decay_to(state, params, pulse.t)
+    return _pulse_update(decay_to(state, params, pulse.t), params, pulse)
+
+
+def _select(mask, a, b):
+    """``a if mask else b``; elementwise when ``mask`` is a bool array."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _pulse_update(
+    state: DeviceState, params: DeviceParams, pulse: Pulse
+) -> tuple[DeviceState, float]:
+    """The pulse kernel of ``apply_pulse``, on a state already relaxed to
+    ``pulse.t``.
+
+    Also steps a batch of devices that share their pulse history: then
+    g_eq, delta_g, acc and mode are arrays over the batch (mode an object
+    array of ``Mode``), and the mode, jump-cap and barrier branches act as
+    per-device masks. Every other field is shared by the batch.
+    """
+    g_eq, delta_g = state.g_eq, state.delta_g
+    u, x, tau_d, t_last_pulse = state.u, state.x, state.tau_d, state.t_last_pulse
     amp = abs(pulse.v)
     jump = 0.0
 
     if amp >= params.v_th:
-        if state.t_last_pulse is None:
+        if t_last_pulse is None:
             dt_p = math.inf
         else:
-            dt_p = pulse.t - state.t_last_pulse
+            dt_p = pulse.t - t_last_pulse
         if dt_p <= 0.0:
             tau_d = params.tau_d_max
         else:
             tau_d = params.tau_d_base * (params.dt_ref / dt_p) ** params.gamma
         tau_d = min(max(tau_d, params.tau_d_min), params.tau_d_max)
 
-        u = state.u + params.u_dev * (1.0 - state.u)
+        u = u + params.u_dev * (1.0 - u)
         s = params.c_amp * (math.exp((amp - params.v_th) / params.v0) - 1.0)
-        headroom = params.g_max - state.g_eq - state.delta_g
-        jump = min(headroom * s * u * state.x, headroom)
-        x = state.x * (1.0 - u)
-        g_eq = state.g_eq
-        if state.mode is Mode.SATURATING:
-            g_eq = g_eq - params.kappa_sat * (g_eq - params.g_floor)
-        state = replace(
-            state, u=u, x=x, delta_g=state.delta_g + jump, g_eq=g_eq,
-            tau_d=tau_d, t_last_pulse=pulse.t,
-        )
+        headroom = params.g_max - g_eq - delta_g
+        jump = headroom * s * u * x
+        jump = _select(headroom < jump, headroom, jump)
+        x = x * (1.0 - u)
+        g_eq = _select(state.mode == Mode.SATURATING,
+                       g_eq - params.kappa_sat * (g_eq - params.g_floor), g_eq)
+        delta_g = delta_g + jump
+        t_last_pulse = pulse.t
 
-    g_total = conductance(state)
-    acc = state.acc + pulse_energy(g_total, pulse.v, pulse.w)
-    g_eq = state.g_eq
-    if acc >= energy_barrier(params, g_eq) * (1.0 - _BARRIER_REL_TOL):
-        step = params.dg_nv
-        if params.polarity_sensitive and pulse.v > 0.0:
-            step = -step
-        # Clamp so the total conductance stays inside [g_min, g_max].
-        g_eq = min(max(g_eq + step, params.g_min),
-                   params.g_max - state.delta_g)
-        acc = 0.0
-    return replace(state, acc=acc, g_eq=g_eq), jump
+    acc = state.acc + pulse_energy(g_eq + delta_g, pulse.v, pulse.w)
+    crossed = acc >= energy_barrier(params, g_eq) * (1.0 - _BARRIER_REL_TOL)
+    step = params.dg_nv
+    if params.polarity_sensitive and pulse.v > 0.0:
+        step = -step
+    # Clamp so the total conductance stays inside [g_min, g_max].
+    stepped = g_eq + step
+    stepped = _select(params.g_min > stepped, params.g_min, stepped)
+    ceiling = params.g_max - delta_g
+    stepped = _select(ceiling < stepped, ceiling, stepped)
+    return replace(
+        state, g_eq=_select(crossed, stepped, g_eq), u=u, x=x, delta_g=delta_g,
+        tau_d=tau_d, acc=_select(crossed, 0.0, acc), t_last_pulse=t_last_pulse,
+    ), jump
 
 
 def sample_mode(g0: float, params: DeviceParams, rng: np.random.Generator) -> Mode:

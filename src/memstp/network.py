@@ -16,12 +16,12 @@ positives).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.signal import lfilter
 
 from . import device as dev
 from . import neuron as nrn
@@ -130,9 +130,6 @@ class Network:
     g_post_delay: float = 10e-3
     lead: float = 0.1
     tail: float = 0.5
-    # Inter-trial quiescent gap. Trials run on fresh, fully relaxed devices,
-    # so any recovery >= the device's t_rec_min is honored by construction.
-    recovery: float = 10.0
 
 
 @dataclass
@@ -224,64 +221,100 @@ def build_detector(topology: str, **overrides) -> Network:
 # Trial simulation
 # ---------------------------------------------------------------------------
 
+# Trials simulated together as one (trials, steps) batch. On the default
+# detector grid (1851 samples) peak memory grows by about 0.15 MB per trial
+# in a chunk: sixteen stay within about 1.5 MB of a one-trial batch, while
+# larger chunks save little more per-chunk Python overhead.
+_CHUNK = 16
+
 
 def _pulse_step_indices(times: Sequence[float], dt: float, n: int) -> list[int]:
     return [min(round(t / dt), n - 1) for t in times]
 
 
+def _initial_draws(
+    network: Network,
+    mem_params: Sequence[DeviceParams],
+    trials: range,
+    rng_for: Optional[Callable[[int], np.random.Generator]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Initial conductance and mode of every memristive synapse, per trial.
+
+    Returns (g_eq0, mode) arrays of shape (synapses, trials). Trial i draws
+    from ``rng_for(i)``, synapse by synapse: the jitter draw, then the mode
+    draw. The generator is only created for a trial that makes a draw, and
+    ``rng_for=None`` makes none.
+    """
+    g_eq0 = np.empty((len(mem_params), len(trials)))
+    modes = np.empty((len(mem_params), len(trials)), dtype=object)
+    jitter = rng_for is not None and network.g0_jitter > 0.0
+    draw_mode = rng_for is not None and network.force_mode is None
+    for col, trial in enumerate(trials):
+        rng = rng_for(trial) if (jitter or draw_mode) and mem_params else None
+        for row, params in enumerate(mem_params):
+            g = params.g_eq0
+            if jitter:
+                g = params.g_eq0 + network.g0_jitter * (2.0 * rng.random() - 1.0)
+                g = min(max(g, params.g_min), params.g_max)
+            if network.force_mode is not None:
+                mode = network.force_mode
+            elif draw_mode:
+                mode = dev.sample_mode(g, params, rng)
+            else:
+                mode = Mode.FACILITATING
+            g_eq0[row, col] = g
+            modes[row, col] = mode
+    return g_eq0, modes
+
+
 def _memristor_currents(
     syn: MemristiveSynapse,
-    params: DeviceParams,
+    g_eq0: np.ndarray,
+    modes: np.ndarray,
     pulse_times: Sequence[float],
     train: PulseTrain,
     grid: np.ndarray,
     dt: float,
     include_write_charge: bool,
-    rng: Optional[np.random.Generator],
-    force_mode: Optional[Mode],
     g_post_delay: float,
-) -> tuple[np.ndarray, np.ndarray, float, Mode, EventLabel]:
-    """Event-driven device simulation pushed onto the sample grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Event-driven simulation of a batch of fresh devices, pushed onto the
+    sample grid. Device r starts at g_eq0[r] in mode modes[r]; all see the
+    same pulses.
 
-    Returns (current series, conductance series, g0, mode, label).
+    Returns (current, conductance) arrays of shape (devices, samples) and the
+    conductance of each device g_post_delay after its last pulse.
     """
-    state = dev.initial_state(params)
-    g0 = dev.conductance(state)
-    if force_mode is not None:
-        state = replace(state, mode=force_mode)
-    elif rng is not None:
-        state = dev.resample_mode_for_train(state, params, pulse_times[0], rng)
-    mode = state.mode
+    params = syn.params
+    state = replace(dev.initial_state(params), g_eq=g_eq0,
+                    delta_g=np.zeros(g_eq0.size), acc=np.zeros(g_eq0.size),
+                    mode=modes)
 
     # Piecewise segments: (start time, g_eq, delta_g, tau_d) after each pulse.
-    segments = [(grid[0] if grid.size else 0.0, state.g_eq, 0.0, state.tau_d)]
-    write_charges: list[tuple[float, float]] = []
+    segments = [(grid[0] if grid.size else 0.0, state.g_eq, state.delta_g,
+                 state.tau_d)]
+    write_charges: list[tuple[float, np.ndarray]] = []
     for t in pulse_times:
-        state, _ = dev.apply_pulse(
-            state, params, Pulse(t=t, v=train.v, w=train.w))
+        state, _ = dev._pulse_update(dev.decay_to(state, params, t), params,
+                                     Pulse(t=t, v=train.v, w=train.w))
         segments.append((t, state.g_eq, state.delta_g, state.tau_d))
         write_charges.append((t, dev.conductance(state) * abs(train.v) * train.w))
 
     # Sample k belongs to the latest segment whose start time <= grid[k].
-    g_series = np.empty_like(grid)
-    seg_starts = np.array([s[0] for s in segments])
+    seg_starts, g_eqs, delta_gs, tau_ds = (np.array(c) for c in zip(*segments))
     which = np.clip(np.searchsorted(seg_starts, grid, side="right") - 1,
                     0, len(segments) - 1)
-    for i, (t0, g_eq, delta_g, tau_d) in enumerate(segments):
-        sel = which == i
-        if np.any(sel):
-            g_series[sel] = g_eq + delta_g * np.exp(-(grid[sel] - t0) / tau_d)
+    relax = np.exp(-(grid - seg_starts[which]) / tau_ds[which])
+    g_series = g_eqs[which].T + delta_gs[which].T * relax
 
     current = g_series * syn.read_v
     if include_write_charge:
         for t, charge in write_charges:
             k = min(round(t / dt), grid.size - 1)
-            current[k] += charge / dt
+            current[:, k] += charge / dt
 
-    t_post = pulse_times[-1] + g_post_delay
-    state = dev.decay_to(state, params, t_post)
-    label = dev.classify_event(g0, dev.conductance(state))
-    return current, g_series, g0, mode, label
+    state = dev.decay_to(state, params, pulse_times[-1] + g_post_delay)
+    return current, g_series, dev.conductance(state)
 
 
 def _static_currents(
@@ -307,29 +340,26 @@ def _rc_currents(
     drive = np.zeros(grid.size)
     for k in _pulse_step_indices(pulse_times, dt, grid.size):
         drive[k] += syn.g * abs(train.v) * train.w / dt
-    # First-order low-pass y' = (x - y)/tau, explicit step.
-    y = np.empty_like(drive)
-    acc = 0.0
+    # First-order low-pass y' = (x - y)/tau, explicit step:
+    # y[k] = y[k-1] + a*(x[k] - y[k-1]) with a = dt/tau.
     a = dt / syn.tau
-    for k in range(drive.size):
-        acc += a * (drive[k] - acc)
-        y[k] = acc
-    return y + syn.g * syn.read_v
+    return lfilter([a], [1.0, a - 1.0], drive) + syn.g * syn.read_v
 
 
-def run_trial(
+def _simulate(
     network: Network,
     pattern: PatternSpec,
-    rng: Optional[np.random.Generator] = None,
-    dt: Optional[float] = None,
-    record_traces: bool = True,
-) -> TrialRecord:
-    """Simulate one pattern presentation on a fresh network.
+    trials: int,
+    rng_for: Optional[Callable[[int], np.random.Generator]],
+    dt: float,
+    record_traces: bool,
+) -> list[TrialRecord]:
+    """Simulate trials 0..trials-1 on fresh networks, _CHUNK at a time.
 
-    The membrane starts from its standing-bias steady state; ``spiked`` is
-    true if any spike is emitted during the trial.
+    Static and RC synapse currents are the same in every trial and are
+    computed once; memristive currents and membranes are (trials, steps)
+    arrays. Trial i's draws come from ``rng_for(i)`` (see _initial_draws).
     """
-    dt = network.dt if dt is None else dt
     train = pattern.train
     t_a = network.lead
     if network.topology == "coincidence_detector":
@@ -348,54 +378,86 @@ def run_trial(
     else:
         starts = [t_second, t_first]   # dynamic first, static second
 
-    # Jitter the memristive synapses' initial conductance (one rng draw per
-    # dynamic synapse, before the mode draw).
-    total = np.zeros(n)
-    g_trace: Optional[np.ndarray] = None
-    g0_out = 0.0
-    mode_out: Optional[Mode] = None
-    label_out: Optional[EventLabel] = None
-    standing_g0 = []
-    for idx, syn in enumerate(network.synapses):
-        times = train.pulse_times(starts[idx])
-        if isinstance(syn, MemristiveSynapse):
-            params = syn.params
-            if network.g0_jitter > 0.0 and rng is not None:
-                g_jit = params.g_eq0 + network.g0_jitter * (2.0 * rng.random() - 1.0)
-                g_jit = min(max(g_jit, params.g_min), params.g_max)
-                params = replace(params, g_eq0=g_jit)
-            current, g_series, g0, mode, label = _memristor_currents(
-                syn, params, times, train, grid, dt,
-                network.include_write_charge, rng, network.force_mode,
-                network.g_post_delay)
-            total += current
-            standing_g0.append(g0 * syn.read_v)
-            if g_trace is None:
-                g_trace, g0_out, mode_out, label_out = g_series, g0, mode, label
-        elif isinstance(syn, StaticSynapse):
-            total += _static_currents(syn, times, train, grid, dt)
+    pulse_times = [train.pulse_times(starts[idx])
+                   for idx in range(len(network.synapses))]
+    shared: list[Optional[np.ndarray]] = []
+    for syn, times in zip(network.synapses, pulse_times):
+        if isinstance(syn, StaticSynapse):
+            shared.append(_static_currents(syn, times, train, grid, dt))
+        elif isinstance(syn, RCSynapse):
+            shared.append(_rc_currents(syn, times, train, grid, dt))
         else:
-            total += _rc_currents(syn, times, train, grid, dt)
-
-    standing = sum(standing_g0) + sum(
+            shared.append(None)
+    mem_params = [s.params for s in network.synapses
+                  if isinstance(s, MemristiveSynapse)]
+    rc_standing = sum(
         s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
-    v0 = network.neuron.e_l + standing / network.neuron.g_l
-    times_out, v, spike_times = nrn.run_trace(network.neuron, total, dt, v0=v0)
 
-    membrane = Trace(times_out, v, kind="vmem") if record_traces else None
-    conductance = (
-        Trace(times_out, g_trace, kind="conductance")
-        if record_traces and g_trace is not None else None)
-    return TrialRecord(
-        pattern=pattern.order, spiked=bool(spike_times), membrane=membrane,
-        conductance=conductance, label=label_out, g0=g0_out, mode=mode_out,
-        spike_times=tuple(spike_times))
+    records: list[TrialRecord] = []
+    for lo in range(0, trials, _CHUNK):
+        chunk = range(lo, min(lo + _CHUNK, trials))
+        g_eq0, modes = _initial_draws(network, mem_params, chunk, rng_for)
+        draws = iter(zip(g_eq0, modes))
+        total = np.zeros((len(chunk), n))
+        standing_g0 = []
+        first = None  # (conductance, g0, mode, g_post) of the first memristor
+        for syn, times, current in zip(network.synapses, pulse_times, shared):
+            if current is None:
+                g_init, mode_init = next(draws)
+                current, g_series, g_post = _memristor_currents(
+                    syn, g_init, mode_init, times, train, grid, dt,
+                    network.include_write_charge, network.g_post_delay)
+                standing_g0.append(g_init * syn.read_v)
+                if first is None:
+                    first = (g_series, g_init, mode_init, g_post)
+            total += current
+
+        standing = sum(standing_g0) + rc_standing
+        v0 = network.neuron.e_l + standing / network.neuron.g_l
+        times_out, v, spike_times = nrn.run_traces(network.neuron, total, dt,
+                                                   v0=v0)
+        for r, spikes in enumerate(spike_times):
+            label = mode = g_trace = None
+            g0 = 0.0
+            if first is not None:
+                g_series, g0s, mode_row, g_post = first
+                g0, mode = float(g0s[r]), mode_row[r]
+                label = dev.classify_event(g0, float(g_post[r]))
+                g_trace = g_series[r]
+            records.append(TrialRecord(
+                pattern=pattern.order, spiked=bool(spikes),
+                membrane=(Trace(times_out, v[r], kind="vmem")
+                          if record_traces else None),
+                conductance=(Trace(times_out, g_trace, kind="conductance")
+                             if record_traces and g_trace is not None
+                             else None),
+                label=label, g0=g0, mode=mode, spike_times=tuple(spikes)))
+    return records
+
+
+def run_trial(
+    network: Network,
+    pattern: PatternSpec,
+    rng: Optional[np.random.Generator] = None,
+    dt: Optional[float] = None,
+    record_traces: bool = True,
+) -> TrialRecord:
+    """Simulate one pattern presentation on a fresh network.
+
+    The membrane starts from its standing-bias steady state; ``spiked`` is
+    true if any spike is emitted during the trial. Without ``rng`` the
+    memristive synapses start unjittered in Facilitating mode (unless the
+    network forces a mode).
+    """
+    rng_for = None if rng is None else (lambda _: rng)
+    return _simulate(network, pattern, 1, rng_for,
+                     network.dt if dt is None else dt, record_traces)[0]
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trial stream: SeedSequence(seed, spawn_key=(index,)).
 
-    Independent of execution order and thread count.
+    Independent of execution order and batching.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
@@ -408,18 +470,15 @@ def monte_carlo(
     threads: int = 1,
     record_traces: bool = False,
 ) -> tuple[float, list[TrialRecord]]:
-    """Independent seeded trials; returns (spike fraction, per-trial records)."""
+    """Independent seeded trials; returns (spike fraction, per-trial records).
+
+    Trial i draws from ``derive_rng(seed, i)``. ``threads`` is ignored: the
+    trials run batched in this process, and results never depended on it.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def one(idx: int) -> TrialRecord:
-        return run_trial(network, pattern, rng=derive_rng(seed, idx),
-                         record_traces=record_traces)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, range(trials)))
-    else:
-        records = [one(i) for i in range(trials)]
+    records = _simulate(network, pattern, trials,
+                        lambda i: derive_rng(seed, i), network.dt,
+                        record_traces)
     p_spike = sum(r.spiked for r in records) / trials
     return p_spike, records

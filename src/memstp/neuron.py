@@ -3,15 +3,15 @@
 c_m dv/dt = -g_l (v - e_l) + g_l delta_t exp((v - v_t)/delta_t) + i_in
 
 Explicit fixed-step integration; with delta_t = 0 the exponential term is
-dropped (leaky IF) and the trace runner uses a C-speed linear filter with the
-identical recursion.
+dropped (leaky IF) and the trace runners use a C-speed linear filter with the
+identical recursion, over one membrane or a batch of independent ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.signal import lfilter
@@ -21,6 +21,7 @@ __all__ = [
     "NeuronState",
     "step",
     "run_trace",
+    "run_traces",
     "psc_from_conductance",
 ]
 
@@ -108,39 +109,76 @@ def psc_from_conductance(g: float, v_read: float) -> float:
 
 
 def _run_trace_lif(
-    params: NeuronParams, current: np.ndarray, dt: float, v0: float
-) -> tuple[np.ndarray, list[int]]:
-    """Linear-filter fast path for delta_t == 0, with spike/reset handling.
+    params: NeuronParams, current: np.ndarray, dt: float, v0: np.ndarray
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Linear-filter fast path for delta_t == 0, one membrane per row of
+    ``current``, with spike/reset handling.
 
-    Implements exactly v[k+1] = alpha*v[k] + (dt/c_m)*(g_l*e_l + i[k]); after
-    each detected crossing the filter restarts from v_reset past the
+    Implements exactly v[k+1] = alpha*v[k] + (dt/c_m)*(g_l*e_l + i[k]) along
+    each row, starting from v0[row]. All rows are filtered together; after
+    each detected crossing that row's filter restarts from v_reset past the
     refractory window.
     """
     alpha = 1.0 - dt * params.g_l / params.c_m
     coef = dt / params.c_m
     drive = coef * (params.g_l * params.e_l + current)
-    n = current.size
-    v = np.empty(n, dtype=float)
-    spikes: list[int] = []
+    m, n = drive.shape
+    spikes: list[list[int]] = [[] for _ in range(m)]
     ref_steps = int(math.ceil(params.t_ref / dt)) if params.t_ref > 0.0 else 0
 
-    start = 0
-    v_prev = v0
-    while start < n:
-        seg = lfilter([1.0], [1.0, -alpha], drive[start:], zi=[alpha * v_prev])[0]
-        crossings = np.nonzero(seg >= params.v_peak)[0]
-        if crossings.size == 0:
-            v[start:] = seg
-            break
-        k = int(crossings[0])
-        v[start:start + k] = seg[:k]
-        spike_idx = start + k
-        spikes.append(spike_idx)
-        stop = min(spike_idx + 1 + ref_steps, n)
-        v[spike_idx:stop] = params.v_reset
-        v_prev = params.v_reset
-        start = stop
+    v = lfilter([1.0], [1.0, -alpha], drive, zi=(alpha * v0)[:, None])[0]
+    hit = v >= params.v_peak
+    for row in np.flatnonzero(hit.any(axis=1)):
+        k = int(hit[row].argmax())
+        while True:
+            spikes[row].append(k)
+            stop = min(k + 1 + ref_steps, n)
+            v[row, k:stop] = params.v_reset
+            if stop == n:
+                break
+            seg = lfilter([1.0], [1.0, -alpha], drive[row, stop:],
+                          zi=[alpha * params.v_reset])[0]
+            v[row, stop:] = seg
+            crossings = np.flatnonzero(seg >= params.v_peak)
+            if crossings.size == 0:
+                break
+            k = stop + int(crossings[0])
     return v, spikes
+
+
+def run_traces(
+    params: NeuronParams,
+    current: np.ndarray,
+    dt: float,
+    v0: Union[None, float, np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Integrate each row of a (rows, steps) current array as its own membrane.
+
+    Returns (times, v array of the same shape, spike times of each row).
+    ``v0`` is the starting membrane, one value for all rows or one per row
+    (rest if not given). Each row matches ``run_trace`` on that row alone.
+    """
+    _check_dt(params, dt)
+    current = np.asarray(current, dtype=float)
+    m, n = current.shape
+    times = dt * np.arange(1, n + 1)
+    v0 = np.broadcast_to(np.asarray(params.e_l if v0 is None else v0,
+                                    dtype=float), (m,))
+
+    if params.delta_t == 0.0:
+        v, spike_idx = _run_trace_lif(params, current, dt, v0)
+    else:
+        v = np.empty((m, n), dtype=float)
+        spike_idx = [[] for _ in range(m)]
+        for row in range(m):
+            state = NeuronState(v_m=float(v0[row]))
+            for k in range(n):
+                state, spiked = step(state, params, float(current[row, k]), dt,
+                                     t=float(times[k]))
+                v[row, k] = state.v_m
+                if spiked:
+                    spike_idx[row].append(k)
+    return times, v, [[float(times[k]) for k in idx] for idx in spike_idx]
 
 
 def run_trace(
@@ -155,23 +193,6 @@ def run_trace(
     times of threshold crossings. The membrane starts at ``v0`` (rest if not
     given).
     """
-    _check_dt(params, dt)
     current = np.asarray(current, dtype=float)
-    n = current.size
-    times = dt * np.arange(1, n + 1)
-    if v0 is None:
-        v0 = params.e_l
-
-    if params.delta_t == 0.0:
-        v, spike_idx = _run_trace_lif(params, current, dt, v0)
-        return times, v, [float(times[k]) for k in spike_idx]
-
-    state = NeuronState(v_m=v0)
-    v = np.empty(n, dtype=float)
-    spike_times: list[float] = []
-    for k in range(n):
-        state, spiked = step(state, params, float(current[k]), dt, t=float(times[k]))
-        v[k] = state.v_m
-        if spiked:
-            spike_times.append(float(times[k]))
-    return times, v, spike_times
+    times, v, spike_times = run_traces(params, current[None, :], dt, v0)
+    return times, v[0], spike_times[0]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +180,42 @@ def test_sweep_iv_runs(tmp_path):
     lines = (tmp_path / "iv" / "iv_trace.csv").read_text().splitlines()
     assert lines[0] == "time_s,voltage_V,current_A"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--trials", "0"),
+    ("--threads", "0"),
+])
+def test_detect_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    argv = ["detect", "--topology", "sequence", "--trials", "2",
+            "--out", str(tmp_path / "out"), flag, value]
+    assert main(argv) == cli.EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch", [{"topology": "bogus"}, {"recovery": -3}])
+def test_network_override_rejects_fixed_and_removed_fields(tmp_path, patch):
+    key = next(iter(patch))
+    doc = {"preset": "fig4_sequence", "trials": 2,
+           "overrides": {"network": patch}, "out_dir": str(tmp_path / "out")}
+    with pytest.raises(ConfigError, match=f"network.{key}"):
+        parse_config(json.dumps(doc))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("topology", ["sequence", "control", "coincidence"])
+def test_detect_matches_golden_csvs(tmp_path, topology):
+    # Goldens written by `memstp detect --pattern both --trials 200
+    # --seed 31337` before trials were batched: output must stay
+    # byte-identical for a fixed seed.
+    out = tmp_path / topology
+    assert main(["detect", "--topology", topology, "--pattern", "both",
+                 "--trials", "200", "--seed", "31337", "--out", str(out)]) == 0
+    for name in ("trials_ab.csv", "trials_ba.csv"):
+        assert (out / name).read_bytes() == (GOLDEN / topology / name).read_bytes()

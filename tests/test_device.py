@@ -236,6 +236,96 @@ def test_bounds_invariant_under_random_drive(seed, n_pulses):
         assert params.tau_d_min <= s.tau_d <= params.tau_d_max
 
 
+def reference_apply_pulse(state, params, pulse):
+    """apply_pulse as written before it shared the batch pulse kernel."""
+    state = dev.decay_to(state, params, pulse.t)
+    amp = abs(pulse.v)
+    jump = 0.0
+    if amp >= params.v_th:
+        if state.t_last_pulse is None:
+            dt_p = math.inf
+        else:
+            dt_p = pulse.t - state.t_last_pulse
+        if dt_p <= 0.0:
+            tau_d = params.tau_d_max
+        else:
+            tau_d = params.tau_d_base * (params.dt_ref / dt_p) ** params.gamma
+        tau_d = min(max(tau_d, params.tau_d_min), params.tau_d_max)
+        u = state.u + params.u_dev * (1.0 - state.u)
+        s = params.c_amp * (math.exp((amp - params.v_th) / params.v0) - 1.0)
+        headroom = params.g_max - state.g_eq - state.delta_g
+        jump = min(headroom * s * u * state.x, headroom)
+        x = state.x * (1.0 - u)
+        g_eq = state.g_eq
+        if state.mode is Mode.SATURATING:
+            g_eq = g_eq - params.kappa_sat * (g_eq - params.g_floor)
+        state = dataclasses.replace(
+            state, u=u, x=x, delta_g=state.delta_g + jump, g_eq=g_eq,
+            tau_d=tau_d, t_last_pulse=pulse.t)
+    g_total = dev.conductance(state)
+    acc = state.acc + dev.pulse_energy(g_total, pulse.v, pulse.w)
+    g_eq = state.g_eq
+    if acc >= dev.energy_barrier(params, g_eq) * (1.0 - dev._BARRIER_REL_TOL):
+        step = params.dg_nv
+        if params.polarity_sensitive and pulse.v > 0.0:
+            step = -step
+        g_eq = min(max(g_eq + step, params.g_min), params.g_max - state.delta_g)
+        acc = 0.0
+    return dataclasses.replace(state, acc=acc, g_eq=g_eq), jump
+
+
+def random_pulses(rng, n):
+    """Pulse times with repeats, reads, writes and over-range amplitudes."""
+    t = 0.0
+    for _ in range(n):
+        t += float(rng.choice([0.0, 1e-3, 0.05, 0.3, 2.0]))
+        yield Pulse(t=t, v=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 12.0)),
+                    w=1e-5)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), polarity=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_apply_pulse_matches_reference(seed, polarity):
+    params = DeviceParams(e0=0.4e-9, dg_nv=0.3e-6, tau_acc=0.5,
+                          polarity_sensitive=polarity)
+    rng = np.random.default_rng(seed)
+    s = s_ref = dev.initial_state(params)
+    for pulse in random_pulses(rng, 30):
+        if rng.random() < 0.2:
+            mode = Mode.SATURATING if rng.random() < 0.5 else Mode.FACILITATING
+            s = dataclasses.replace(s, mode=mode)
+            s_ref = dataclasses.replace(s_ref, mode=mode)
+        s, jump = dev.apply_pulse(s, params, pulse)
+        s_ref, jump_ref = reference_apply_pulse(s_ref, params, pulse)
+        assert s == s_ref and jump == jump_ref
+
+
+def test_pulse_kernel_batch_rows_match_scalar_devices():
+    params = DeviceParams(e0=0.3e-9, polarity_sensitive=True)
+    rng = np.random.default_rng(5)
+    m = 12
+    modes = np.array([Mode.SATURATING if k % 3 == 0 else Mode.FACILITATING
+                      for k in range(m)], dtype=object)
+    batch = dataclasses.replace(
+        dev.initial_state(params), g_eq=rng.uniform(2.5e-6, 3.4e-6, m),
+        delta_g=np.zeros(m), acc=rng.uniform(0.0, 0.6e-9, m), mode=modes)
+    singles = [dataclasses.replace(batch, g_eq=float(batch.g_eq[r]), delta_g=0.0,
+                                   acc=float(batch.acc[r]), mode=modes[r])
+               for r in range(m)]
+    crossed = np.zeros(m, dtype=int)
+    for pulse in random_pulses(rng, 40):
+        batch, jumps = dev._pulse_update(dev.decay_to(batch, params, pulse.t),
+                                         params, pulse)
+        crossed += (batch.acc == 0.0) & (pulse.v != 0.0)
+        for r in range(m):
+            singles[r], jump = dev.apply_pulse(singles[r], params, pulse)
+            assert singles[r] == dataclasses.replace(
+                batch, g_eq=batch.g_eq[r], delta_g=batch.delta_g[r],
+                acc=batch.acc[r], mode=modes[r])
+            assert jump == (jumps if np.isscalar(jumps) else jumps[r])
+    assert 0 < crossed.min() < crossed.max()
+
+
 # ---------------------------------------------------------------------------
 # sample_mode / classify_event
 # ---------------------------------------------------------------------------

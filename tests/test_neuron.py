@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from memstp import neuron as nrn
 from memstp.neuron import NeuronParams, NeuronState
@@ -155,3 +156,55 @@ def test_fast_path_matches_step_loop_exactly():
             spk_loop.append((k + 1) * dt)
     assert np.max(np.abs(v_fast - np.array(v_loop))) < 1e-14
     assert spk_fast == pytest.approx(spk_loop)
+
+
+def reference_lif(params, current, dt, v0):
+    """One-membrane lfilter loop the batched LIF filter replaced."""
+    alpha = 1.0 - dt * params.g_l / params.c_m
+    drive = dt / params.c_m * (params.g_l * params.e_l + current)
+    n = current.size
+    v = np.empty(n)
+    spikes = []
+    ref_steps = int(math.ceil(params.t_ref / dt)) if params.t_ref > 0.0 else 0
+    start, v_prev = 0, v0
+    while start < n:
+        seg = lfilter([1.0], [1.0, -alpha], drive[start:], zi=[alpha * v_prev])[0]
+        crossings = np.nonzero(seg >= params.v_peak)[0]
+        if crossings.size == 0:
+            v[start:] = seg
+            break
+        k = int(crossings[0])
+        v[start:start + k] = seg[:k]
+        spikes.append(start + k)
+        stop = min(start + k + 1 + ref_steps, n)
+        v[start + k:stop] = params.v_reset
+        v_prev, start = params.v_reset, stop
+    return v, spikes
+
+
+@pytest.mark.parametrize("t_ref", [0.0, 7e-3])
+def test_batched_lif_rows_match_one_membrane_filter(t_ref):
+    p = lif_params(v_peak=0.3, v_t=0.3, t_ref=t_ref)
+    rng = np.random.default_rng(2)
+    dt = 1e-3
+    # Rows from silent to multi-spike, each with its own start voltage.
+    current = rng.uniform(0.0, 1.0, (9, 1500)) * np.linspace(0.0, 1.2e-6, 9)[:, None]
+    v0 = rng.uniform(-0.1, 0.29, 9)
+    times, v, spikes = nrn.run_traces(p, current, dt, v0=v0)
+    assert np.array_equal(times, dt * np.arange(1, 1501))
+    assert len(spikes[0]) == 0 and len(spikes[-1]) > 3
+    for row in range(9):
+        want_v, want_idx = reference_lif(p, current[row], dt, v0[row])
+        assert np.array_equal(v[row], want_v)
+        assert spikes[row] == [float(times[k]) for k in want_idx]
+        _, v_one, spk_one = nrn.run_trace(p, current[row], dt, v0=v0[row])
+        assert np.array_equal(v_one, want_v) and spk_one == spikes[row]
+
+
+def test_batched_exponential_rows_match_run_trace():
+    p = lif_params(delta_t=0.05, v_t=0.25, v_peak=0.3, t_ref=3e-3)
+    current = np.random.default_rng(3).uniform(0.0, 1.0e-6, (3, 600))
+    _, v, spikes = nrn.run_traces(p, current, 1e-3)
+    for row in range(3):
+        _, v_one, spk_one = nrn.run_trace(p, current[row], 1e-3)
+        assert np.array_equal(v[row], v_one) and spikes[row] == spk_one
