@@ -1,9 +1,9 @@
 """memstp: volatile-memristor short-term plasticity simulation toolkit."""
 
+__version__ = "0.1.0"
+
 from . import cli, device, fitting, network, neuron, protocols, tm
 from .trace import Trace
-
-__version__ = "0.1.0"
 
 __all__ = [
     "cli",

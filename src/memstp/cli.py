@@ -16,14 +16,12 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from . import __version__, fitting, network, protocols
 from . import device as dev
-from . import fitting, network, protocols
 from .device import DeviceParams
 from .network import PatternOrder, PatternSpec
 from .protocols import ExperimentPlan, PulseTrain
 from .trace import Trace
-
-__version__ = "0.1.0"
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_csv", "main"]
 
@@ -65,8 +63,9 @@ _OVERRIDE_SECTIONS = {
     "pattern": PatternSpec,
     "network": network.Network,
 }
-# Fields a preset fixes: the topology is chosen by the preset name.
-_FIXED_FIELDS = {"network": {"topology"}}
+# Fields a preset fixes: the topology is chosen by the preset name, and the
+# synapse and neuron objects are built with it.
+_FIXED_FIELDS = {"network": {"topology", "synapses", "neuron"}}
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -214,10 +213,6 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _asdict_clean(obj: Any) -> Any:
-    return _jsonable(obj)
-
-
 def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
     # threads is accepted but ignored, so it is not a run parameter: runs
     # with identical manifests are byte-identical whatever it says.
@@ -267,7 +262,7 @@ def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
     n_f = sum(r.label is dev.EventLabel.STP_F for r in records)
     print(f"{config.preset}: {len(records)} events, "
           f"{n_f} STP-F / {len(records) - n_f} STP-S -> {out / 'events.csv'}")
-    return {"device": _asdict_clean(params), "plan": _asdict_clean(plan)}
+    return {"device": _jsonable(params), "plan": _jsonable(plan)}
 
 
 def _run_decay_preset(config: RunConfig, out: Path) -> dict:
@@ -280,7 +275,7 @@ def _run_decay_preset(config: RunConfig, out: Path) -> dict:
     for t, r in results:
         status = "ok" if r.converged else f"failed ({r.message})"
         print(f"t_int={t * 1e3:.0f} ms -> tau_d={r.params['tau_d']:.4g} s [{status}]")
-    return {"device": _asdict_clean(params), "t_ints": t_ints}
+    return {"device": _jsonable(params), "t_ints": t_ints}
 
 
 def _run_amplitude_preset(config: RunConfig, out: Path) -> dict:
@@ -290,7 +285,7 @@ def _run_amplitude_preset(config: RunConfig, out: Path) -> dict:
     emit_csv(pairs, out / "amplitude_response.csv")
     print(f"{config.preset}: {len(pairs)} amplitudes -> "
           f"{out / 'amplitude_response.csv'}")
-    return {"device": _asdict_clean(params), "amplitudes": amplitudes}
+    return {"device": _jsonable(params), "amplitudes": amplitudes}
 
 
 _TOPOLOGY_BY_PRESET = {
@@ -303,8 +298,16 @@ _TOPOLOGY_BY_PRESET = {
 def _run_detector_preset(config: RunConfig, out: Path,
                          patterns: Sequence[PatternOrder]) -> dict:
     topology = _TOPOLOGY_BY_PRESET[config.preset]
-    net = network.build_detector(topology)
-    net = _patched(net, "network", config.overrides)
+    # force_mode arrives as a JSON string; parse it into a Mode on a copy, so
+    # config.overrides keeps the raw value for the manifest.
+    overrides = config.overrides
+    mode = overrides.get("network", {}).get("force_mode")
+    if mode is not None:
+        modes = [m.value for m in dev.Mode]
+        _expect(mode in modes, f"override network.force_mode must be one of {modes}")
+        overrides = {**overrides,
+                     "network": {**overrides["network"], "force_mode": dev.Mode(mode)}}
+    net = _patched(network.build_detector(topology), "network", overrides)
     pattern = PatternSpec()
     train = _patched(pattern.train, "train", config.overrides)
     pattern = _patched(dataclasses.replace(pattern, train=train),
@@ -318,7 +321,7 @@ def _run_detector_preset(config: RunConfig, out: Path,
         summary[order.value] = p_spike
         print(f"{topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
               f"({config.trials} trials)")
-    return {"topology": topology, "pattern": _asdict_clean(pattern),
+    return {"topology": topology, "pattern": _jsonable(pattern),
             "p_spike": summary}
 
 
@@ -336,7 +339,7 @@ def _run_iv_preset(config: RunConfig, out: Path) -> dict:
     emit_csv((Trace(times, v, kind="voltage"), Trace(times, i, kind="current")),
              out / "iv_trace.csv")
     print(f"iv_sweep: {v.size} samples -> {out / 'iv_trace.csv'}")
-    return {"device": _asdict_clean(params), "dt": dt, "v_peak": 2.0}
+    return {"device": _jsonable(params), "dt": dt, "v_peak": 2.0}
 
 
 def run_config(config: RunConfig) -> int:

@@ -1,5 +1,5 @@
-"""Parameter estimation: decay fits, TM fits, amplitude-law fits, and the
-derivative-free simplex minimizer underneath them."""
+"""Parameter estimation: decay fits, plus TM and amplitude-law fits by
+bounded TRF least squares (scipy)."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import OptimizeResult, least_squares
 
 from . import tm
 
 __all__ = [
     "FitResult",
-    "minimize_simplex",
     "fit_decay",
     "fit_tm",
     "fit_amplitude_curve",
@@ -22,7 +22,11 @@ __all__ = [
 
 @dataclass
 class FitResult:
-    """Named parameter estimates plus goodness-of-fit bookkeeping."""
+    """Named parameter estimates plus goodness-of-fit bookkeeping.
+
+    ``iterations`` counts the residual (function) evaluations of the winning
+    least-squares start; closed-form fits report 0.
+    """
 
     params: dict[str, float]
     sse: float
@@ -35,93 +39,21 @@ class FitResult:
             raise ValueError("sse must be >= 0")
 
 
-def minimize_simplex(
-    objective: Callable[[np.ndarray], float],
-    start: Sequence[float],
-    bounds: Optional[Sequence[tuple[float, float]]] = None,
-    x_tol: float = 1e-8,
-    f_tol: float = 1e-12,
-    max_iter: int = 2000,
-) -> FitResult:
-    """Nelder-Mead simplex descent with bound clipping.
-
-    Converges when the simplex diameter falls below x_tol and the objective
-    spread below f_tol (both, so a simplex straddling the minimizer
-    symmetrically cannot stop early); hitting the iteration cap returns
-    converged=False. Candidate points are projected back into the bounds, so
-    returned parameters respect them exactly.
-    """
-    x0 = np.asarray(start, dtype=float)
-    ndim = x0.size
-    if bounds is not None:
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        if np.any(x0 < lo) or np.any(x0 > hi):
-            raise ValueError("start point must lie within bounds")
-    else:
-        lo = np.full(ndim, -np.inf)
-        hi = np.full(ndim, np.inf)
-
-    def clip(x: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(x, lo), hi)
-
-    # Initial simplex: perturb each coordinate by 5% (or an absolute nudge).
-    simplex = [x0.copy()]
-    for i in range(ndim):
-        p = x0.copy()
-        nudge = 0.05 * abs(p[i]) if p[i] != 0.0 else 0.00025
-        p[i] += nudge
-        if p[i] > hi[i]:
-            p[i] = x0[i] - nudge
-        simplex.append(clip(p))
-    fvals = [float(objective(p)) for p in simplex]
-
-    alpha, gamma_e, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    it = 0
-    while it < max_iter:
-        order = np.argsort(fvals)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-
-        diam = max(np.max(np.abs(p - simplex[0])) for p in simplex[1:])
-        if diam < x_tol and fvals[-1] - fvals[0] < f_tol:
-            return FitResult(
-                params={f"x{i}": float(v) for i, v in enumerate(simplex[0])},
-                sse=float(fvals[0]), iterations=it, converged=True)
-
-        it += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-
-        reflected = clip(centroid + alpha * (centroid - worst))
-        f_r = float(objective(reflected))
-        if fvals[0] <= f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
-            continue
-        if f_r < fvals[0]:
-            expanded = clip(centroid + gamma_e * (reflected - centroid))
-            f_e = float(objective(expanded))
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-            continue
-        contracted = clip(centroid + rho * (worst - centroid))
-        f_c = float(objective(contracted))
-        if f_c < fvals[-1]:
-            simplex[-1], fvals[-1] = contracted, f_c
-            continue
-        # Shrink toward the best vertex.
-        for i in range(1, len(simplex)):
-            simplex[i] = clip(simplex[0] + sigma * (simplex[i] - simplex[0]))
-            fvals[i] = float(objective(simplex[i]))
-
-    order = np.argsort(fvals)
-    best = simplex[order[0]]
-    return FitResult(
-        params={f"x{i}": float(v) for i, v in enumerate(best)},
-        sse=float(fvals[order[0]]), iterations=it, converged=False,
-        message="iteration cap reached")
+def _least_squares(
+    residuals: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[Sequence[float]],
+    bounds: Sequence[tuple[float, float]],
+) -> OptimizeResult:
+    """Bounded TRF least squares from each start; the lowest cost wins."""
+    lo, hi = zip(*bounds)
+    best: Optional[OptimizeResult] = None
+    for start in starts:
+        res = least_squares(residuals, start, bounds=(lo, hi), method="trf",
+                            x_scale="jac", max_nfev=4000)
+        if best is None or res.cost < best.cost:
+            best = res
+    assert best is not None
+    return best
 
 
 def fit_decay(
@@ -158,9 +90,11 @@ def fit_decay(
 def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
     """Least-squares fit of the TM peak map to measured peaks.
 
-    Parameters (a, u_cap, tau_rec, tau_f) are estimated with the simplex
-    minimizer from a small multi-start grid: u_cap in {0.1, 0.5} crossed with
-    fast/slow time-constant combinations, a seeded from the first peak.
+    Parameters (a, u_cap, tau_rec, tau_f) are estimated by bounded TRF least
+    squares (scipy) from a small multi-start grid: u_cap in {0.1, 0.5, 0.9}
+    crossed with fast/slow time-constant combinations, a seeded from the
+    largest peak. ``FitResult.iterations`` counts the function evaluations
+    of the winning start.
     """
     pk = np.asarray(peaks, dtype=float)
     ts = list(spike_times)
@@ -172,31 +106,25 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
 
     a_hi = max(float(np.max(pk)), 1e-12)
 
-    def objective(p: np.ndarray) -> float:
+    def residuals(p: np.ndarray) -> np.ndarray:
         a, u_cap, tau_rec, tau_f = p
         model = tm.peaks_for_train(
             tm.TMParams(a=a, u_cap=u_cap, tau_rec=tau_rec, tau_f=tau_f), ts)
-        return float(np.sum((pk - np.asarray(model)) ** 2))
+        return pk - np.asarray(model)
 
     bounds = [(1e-12, 1e6 * a_hi), (1e-3, 1.0), (1e-3, 100.0), (1e-3, 100.0)]
     starts = []
-    for u0 in (0.1, 0.5):
+    for u0 in (0.1, 0.5, 0.9):
         for tau_rec0, tau_f0 in ((0.05, 0.5), (0.5, 0.05), (0.2, 0.2), (0.02, 1.0)):
             starts.append([a_hi / u0, u0, tau_rec0, tau_f0])
 
-    best: Optional[FitResult] = None
-    for s in starts:
-        res = minimize_simplex(objective, s, bounds=bounds,
-                               x_tol=1e-10, f_tol=1e-24, max_iter=4000)
-        if best is None or res.sse < best.sse:
-            best = res
-    assert best is not None
-    a, u_cap, tau_rec, tau_f = (best.params[f"x{i}"] for i in range(4))
+    best = _least_squares(residuals, starts, bounds)
+    a, u_cap, tau_rec, tau_f = map(float, best.x)
     degenerate = float(np.ptp(pk)) <= 1e-12 * a_hi
     return FitResult(
         params={"a": a, "u_cap": u_cap, "tau_rec": tau_rec, "tau_f": tau_f},
-        sse=best.sse, iterations=best.iterations,
-        converged=best.converged and not degenerate,
+        sse=float(np.sum(best.fun ** 2)), iterations=int(best.nfev),
+        converged=best.status > 0 and not degenerate,
         message="peaks constant: time constants unidentifiable" if degenerate
         else best.message)
 
@@ -204,7 +132,8 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
 def fit_amplitude_curve(
     points: Sequence[tuple[float, float]], v_th: float = 1.0
 ) -> FitResult:
-    """Fit dG_norm(v) = c_amp * (exp((|v| - v_th)/v0) - 1) to (v, dG) points."""
+    """Fit dG_norm(v) = c_amp * (exp((|v| - v_th)/v0) - 1) to (v, dG) points
+    by bounded TRF least squares (scipy) from a 3 x 3 start grid."""
     if len(points) < 3:
         raise ValueError("need at least 3 points above the write threshold")
     v = np.array([abs(p[0]) for p in points], dtype=float)
@@ -217,25 +146,17 @@ def fit_amplitude_curve(
                          iterations=0, converged=False,
                          message="all responses zero: v0 unidentifiable")
 
-    def objective(p: np.ndarray) -> float:
+    def residuals(p: np.ndarray) -> np.ndarray:
         c_amp, v0 = p
         # Cap the exponent so extreme v0 trials stay finite.
         arg = np.minimum((v - v_th) / v0, 50.0)
-        model = c_amp * (np.exp(arg) - 1.0)
-        return float(np.sum((y - model) ** 2))
+        return y - c_amp * (np.exp(arg) - 1.0)
 
     y_top = max(float(np.max(np.abs(y))), 1e-12)
-    best: Optional[FitResult] = None
-    for c0 in (0.01, 0.1, y_top):
-        for v00 in (0.5, 1.5, 4.0):
-            res = minimize_simplex(
-                objective, [c0, v00],
-                bounds=[(1e-12, 1e6), (1e-3, 100.0)],
-                x_tol=1e-12, f_tol=1e-28, max_iter=4000)
-            if best is None or res.sse < best.sse:
-                best = res
-    assert best is not None
+    starts = [[c0, v00] for c0 in (0.01, 0.1, y_top) for v00 in (0.5, 1.5, 4.0)]
+    best = _least_squares(residuals, starts, [(1e-12, 1e6), (1e-3, 100.0)])
+    c_amp, v0 = map(float, best.x)
     return FitResult(
-        params={"c_amp": best.params["x0"], "v0": best.params["x1"]},
-        sse=best.sse, iterations=best.iterations, converged=best.converged,
-        message=best.message)
+        params={"c_amp": c_amp, "v0": v0},
+        sse=float(np.sum(best.fun ** 2)), iterations=int(best.nfev),
+        converged=best.status > 0, message=best.message)

@@ -131,6 +131,15 @@ class Network:
     lead: float = 0.1
     tail: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not self.dt > 0.0:
+            raise ValueError("dt must be > 0")
+        if not self.g_post_delay > 0.0:
+            raise ValueError("g_post_delay must be > 0")
+        for name in ("lead", "tail", "g0_jitter"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class TrialRecord:

@@ -77,13 +77,18 @@ def peaks_for_train(params: TMParams, spike_times: Sequence[float]) -> list[floa
     for earlier, later in zip(times, times[1:]):
         if later <= earlier:
             raise ValueError("spike times must be strictly increasing")
+    # Plain-float fold of advance/on_spike: the first spike sees dt = 0,
+    # where exp(0) = 1 leaves the rest state exactly as it is.
     peaks: list[float] = []
-    state = TMState(t_last=times[0] if times else 0.0)
-    prev = state.t_last
+    u, x = 0.0, 1.0
+    prev = times[0] if times else 0.0
     for t in times:
-        state = advance(state, t - prev, params)
-        state, peak = on_spike(state, params)
-        peaks.append(peak)
+        dt = t - prev
+        u *= math.exp(-dt / params.tau_f)
+        x = 1.0 - (1.0 - x) * math.exp(-dt / params.tau_rec)
+        u += params.u_cap * (1.0 - u)
+        peaks.append(params.a * u * x)
+        x *= 1.0 - u
         prev = t
     return peaks
 

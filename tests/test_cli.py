@@ -194,7 +194,8 @@ def test_detect_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("patch", [{"topology": "bogus"}, {"recovery": -3}])
+@pytest.mark.parametrize("patch", [{"topology": "bogus"}, {"recovery": -3},
+                                   {"synapses": 1}, {"neuron": 1}])
 def test_network_override_rejects_fixed_and_removed_fields(tmp_path, patch):
     key = next(iter(patch))
     doc = {"preset": "fig4_sequence", "trials": 2,
@@ -219,3 +220,45 @@ def test_detect_matches_golden_csvs(tmp_path, topology):
                  "--trials", "200", "--seed", "31337", "--out", str(out)]) == 0
     for name in ("trials_ab.csv", "trials_ba.csv"):
         assert (out / name).read_bytes() == (GOLDEN / topology / name).read_bytes()
+
+
+def _simulate_network_override(tmp_path, preset, patch, trials=2):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "preset": preset, "seed": 3, "trials": trials,
+        "overrides": {"network": patch}, "out_dir": str(out)}))
+    return main(["simulate", "--config", str(cfg)]), out
+
+
+@pytest.mark.parametrize("preset", ["fig4_sequence", "fig4_control"])
+@pytest.mark.parametrize("patch", [
+    {"dt": 0}, {"lead": -0.05}, {"tail": -1}, {"g0_jitter": -1e-6},
+    {"g_post_delay": 0}, {"force_mode": "bogus"},
+])
+def test_network_override_rejects_bad_values(tmp_path, capsys, preset, patch):
+    rc, out = _simulate_network_override(tmp_path, preset, patch)
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert next(iter(patch)) in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_force_mode_override_runs_every_trial_in_that_mode(tmp_path,
+                                                           monkeypatch):
+    runs = []
+    monte_carlo = cli.network.monte_carlo
+
+    def recording_monte_carlo(*args, **kwargs):
+        p_spike, records = monte_carlo(*args, **kwargs)
+        runs.append(records)
+        return p_spike, records
+
+    monkeypatch.setattr(cli.network, "monte_carlo", recording_monte_carlo)
+    rc, out = _simulate_network_override(
+        tmp_path, "fig4_sequence", {"force_mode": "saturating"}, trials=20)
+    assert rc == 0
+    assert len(runs) == 2
+    assert all(rec.mode is Mode.SATURATING for recs in runs for rec in recs)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["overrides"]["network"]["force_mode"] == "saturating"

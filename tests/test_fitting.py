@@ -1,75 +1,9 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memstp import fitting, tm
-
-
-# ---------------------------------------------------------------------------
-# minimize_simplex
-# ---------------------------------------------------------------------------
-
-
-def test_simplex_1d_quadratic():
-    res = fitting.minimize_simplex(lambda p: (p[0] - 3.0) ** 2, [0.0])
-    assert res.converged
-    assert res.params["x0"] == pytest.approx(3.0, abs=1e-6)
-
-
-def test_simplex_2d_quadratic():
-    res = fitting.minimize_simplex(
-        lambda p: (p[0] - 1.0) ** 2 + (p[1] + 2.0) ** 2, [0.0, 0.0])
-    assert res.converged
-    assert res.params["x0"] == pytest.approx(1.0, abs=1e-6)
-    assert res.params["x1"] == pytest.approx(-2.0, abs=1e-6)
-
-
-def test_simplex_rosenbrock():
-    res = fitting.minimize_simplex(
-        lambda p: (1 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2,
-        [-1.2, 1.0], x_tol=1e-9, f_tol=1e-18, max_iter=5000)
-    assert res.converged
-    assert res.params["x0"] == pytest.approx(1.0, abs=1e-3)
-    assert res.params["x1"] == pytest.approx(1.0, abs=1e-3)
-
-
-def test_simplex_respects_bounds_exactly():
-    res = fitting.minimize_simplex(
-        lambda p: (p[0] + 5.0) ** 2, [0.5], bounds=[(0.0, 1.0)])
-    assert 0.0 <= res.params["x0"] <= 1.0
-    assert res.params["x0"] == pytest.approx(0.0, abs=1e-6)
-
-
-def test_simplex_start_outside_bounds_rejected():
-    with pytest.raises(ValueError):
-        fitting.minimize_simplex(lambda p: p[0] ** 2, [2.0], bounds=[(0.0, 1.0)])
-
-
-def test_simplex_iteration_cap_flags_nonconvergence():
-    res = fitting.minimize_simplex(
-        lambda p: (p[0] - 3.0) ** 2, [0.0], max_iter=2)
-    assert not res.converged
-    assert res.iterations == 2
-
-
-def test_simplex_best_value_never_increases():
-    history = []
-
-    def objective(p):
-        val = (1 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2
-        history.append(val)
-        return val
-
-    fitting.minimize_simplex(objective, [-1.2, 1.0], max_iter=500)
-    best = math.inf
-    bests = []
-    for v in history:
-        best = min(best, v)
-        bests.append(best)
-    assert all(a >= b for a, b in zip(bests, bests[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +74,36 @@ def test_fit_tm_noise_floor():
     assert res.sse / len(noisy) <= 3.0 * max(noise_var, 1e-30)
 
 
+def _assert_in_bounds(params, bounds):
+    for name, (lo, hi) in bounds.items():
+        assert lo <= params[name] <= hi, name
+
+
+@given(
+    a=st.floats(0.05, 20.0),
+    u_cap=st.floats(0.02, 0.95),
+    tau_rec=st.floats(0.005, 3.0),
+    tau_f=st.floats(0.005, 3.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+# High u_cap: starts with u_cap in {0.1, 0.5} alone all end in one local
+# minimum at about 3x the SSE of the true parameters.
+@example(a=1.0, u_cap=0.75, tau_rec=0.0625, tau_f=1.0, seed=5204)
+def test_fit_tm_never_worse_than_true_params(a, u_cap, tau_rec, tau_f, seed):
+    true = tm.TMParams(a=a, u_cap=u_cap, tau_rec=tau_rec, tau_f=tau_f)
+    clean = np.array(tm.peaks_for_train(true, VARIED_SPIKES))
+    rng = np.random.default_rng(seed)
+    noisy = clean * (1.0 + 0.01 * rng.standard_normal(clean.size))
+    res = fitting.fit_tm(list(noisy), VARIED_SPIKES)
+    sse_true = float(np.sum((noisy - clean) ** 2))
+    assert res.sse <= sse_true * (1.0 + 1e-9)
+    a_hi = float(np.max(noisy))
+    _assert_in_bounds(res.params, {
+        "a": (1e-12, 1e6 * a_hi), "u_cap": (1e-3, 1.0),
+        "tau_rec": (1e-3, 100.0), "tau_f": (1e-3, 100.0)})
+
+
 def test_fit_tm_bad_inputs_rejected():
     with pytest.raises(ValueError):
         fitting.fit_tm([0.1], [0.0])
@@ -183,3 +147,20 @@ def test_fit_amplitude_round_trip_property(c_amp, v0):
     res = fitting.fit_amplitude_curve(list(zip(v, y)), v_th=1.0)
     assert res.params["c_amp"] == pytest.approx(c_amp, rel=0.05)
     assert res.params["v0"] == pytest.approx(v0, rel=0.05)
+
+
+@given(
+    c_amp=st.floats(0.005, 0.5),
+    v0=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+def test_fit_amplitude_never_worse_than_true_params(c_amp, v0, seed):
+    v = np.array([1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+    clean = c_amp * (np.exp((v - 1.0) / v0) - 1.0)
+    rng = np.random.default_rng(seed)
+    noisy = clean * (1.0 + 0.01 * rng.standard_normal(clean.size))
+    res = fitting.fit_amplitude_curve(list(zip(v, noisy)), v_th=1.0)
+    sse_true = float(np.sum((noisy - clean) ** 2))
+    assert res.sse <= sse_true * (1.0 + 1e-9)
+    _assert_in_bounds(res.params, {"c_amp": (1e-12, 1e6), "v0": (1e-3, 100.0)})

@@ -75,6 +75,27 @@ def test_peaks_reject_non_monotone_times():
         tm.peaks_for_train(TMParams(), [0.0, 0.4, 0.4])
 
 
+@pytest.mark.parametrize("params,times", [
+    (TMParams(a=1.0, u_cap=0.1, tau_f=0.5, tau_rec=0.02), [0.0, 0.4, 0.8]),
+    (TMParams(a=2.5, u_cap=0.9, tau_rec=2.0, tau_f=0.01),
+     [0.3, 0.31, 0.55, 1.7, 1.7001]),
+    (TMParams(a=0.03, u_cap=0.37, tau_rec=0.15, tau_f=0.07),
+     [0.0, 0.15, 0.55, 0.7, 1.3, 4.0]),
+    (TMParams.facilitation_only(a=1.0, u_cap=0.2, tau_f=0.5), [1.0, 1.1, 1.2]),
+    (TMParams(), [2.0]),
+])
+def test_peaks_equal_advance_on_spike_fold_exactly(params, times):
+    expected = []
+    state = TMState(t_last=times[0])
+    prev = times[0]
+    for t in times:
+        state = tm.advance(state, t - prev, params)
+        state, peak = tm.on_spike(state, params)
+        expected.append(peak)
+        prev = t
+    assert tm.peaks_for_train(params, times) == expected
+
+
 def test_long_gap_resets_to_rest_peak():
     p = TMParams(a=1.0, u_cap=0.17, tau_f=0.3, tau_rec=0.1)
     peaks = tm.peaks_for_train(p, [0.0, 100.0, 200.0])
