@@ -10,6 +10,7 @@ import enum
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -25,16 +26,19 @@ from .trace import Trace
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_csv", "main"]
 
-PRESET_NAMES = (
-    "fig2_stp",
-    "fig2f_drift",
-    "fig3a_decay",
-    "fig3b_amplitude",
-    "fig4_sequence",
-    "fig4_control",
-    "s12_coincidence",
-    "iv_sweep",
-)
+# Each preset and the override sections it reads; any other section would be
+# silently ignored, so it is refused.
+_PRESET_SECTIONS = {
+    "fig2_stp": {"device", "train", "plan"},
+    "fig2f_drift": {"device", "train", "plan"},
+    "fig3a_decay": {"device"},
+    "fig3b_amplitude": {"device"},
+    "fig4_sequence": {"network", "train", "pattern"},
+    "fig4_control": {"network", "train", "pattern"},
+    "s12_coincidence": {"network", "train", "pattern"},
+    "iv_sweep": {"device"},
+}
+PRESET_NAMES = tuple(_PRESET_SECTIONS)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,8 +68,21 @@ _OVERRIDE_SECTIONS = {
     "network": network.Network,
 }
 # Fields a preset fixes: the topology is chosen by the preset name, and the
-# synapse and neuron objects are built with it.
-_FIXED_FIELDS = {"network": {"topology", "synapses", "neuron"}}
+# synapse and neuron objects are built with it; trains come from the train
+# section, and detector presets run both pattern orders.
+_FIXED_FIELDS = {"network": {"topology", "synapses", "neuron"},
+                 "plan": {"train"}, "pattern": {"train", "order"}}
+
+
+class _NonFiniteLiteral:
+    """A NaN or Infinity literal in a config document, which no field
+    accepts; kept as a marker so the type checks can name its field."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -84,14 +101,34 @@ def _check_count(value: Any, name: str) -> None:
             f"{name} must be a positive integer")
 
 
+def _check_override(name: str, value: Any, hint: Any) -> None:
+    """Check one override value against its field's annotation."""
+    if hint is bool:
+        _expect(isinstance(value, bool), f"override {name} must be true or false")
+    elif hint is int:
+        _expect(isinstance(value, int) and not isinstance(value, bool),
+                f"override {name} must be an integer, got {value!r}")
+    elif hint is float:
+        try:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        _expect(ok, f"override {name} must be a finite number, got {value!r}")
+    else:
+        _expect(isinstance(value, str), f"override {name} must be a string")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration document, strictly.
 
-    Unknown keys anywhere are rejected with the offending key named; type
-    mismatches carry the field name.
+    Unknown keys anywhere are rejected with the offending key named; so are
+    override sections the preset does not read. Override values are checked
+    against their field's annotation (bool, int, or finite float), and NaN
+    or Infinity literals are refused wherever they appear.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_NonFiniteLiteral)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     _expect(isinstance(doc, dict), "top level must be a JSON object")
@@ -121,15 +158,19 @@ def parse_config(text: str) -> RunConfig:
         _expect(section in _OVERRIDE_SECTIONS,
                 f"unknown override section {section!r} "
                 f"(allowed: {sorted(_OVERRIDE_SECTIONS)})")
+        _expect(section in _PRESET_SECTIONS[preset],
+                f"override section {section!r} is not read by preset "
+                f"{preset!r} (it reads: {sorted(_PRESET_SECTIONS[preset])})")
         _expect(isinstance(patch, dict),
                 f"override section {section!r} must be an object")
-        allowed = ({f.name for f in dataclasses.fields(_OVERRIDE_SECTIONS[section])}
+        cls = _OVERRIDE_SECTIONS[section]
+        allowed = ({f.name for f in dataclasses.fields(cls)}
                    - _FIXED_FIELDS.get(section, set()))
+        hints = typing.get_type_hints(cls)
         for key, value in patch.items():
             _expect(key in allowed,
                     f"unknown key '{section}.{key}' (allowed: {sorted(allowed)})")
-            _expect(isinstance(value, (int, float, str, bool)),
-                    f"override {section}.{key} must be a scalar")
+            _check_override(f"{section}.{key}", value, hints[key])
     return RunConfig(preset=preset, seed=seed, overrides=overrides,
                      out_dir=out_dir, trials=trials, threads=threads)
 
@@ -225,10 +266,12 @@ def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
         "overrides": config.overrides,
         "resolved": resolved,
     }
+    # Serialised before the file is opened, so a non-finite value fails
+    # without leaving a truncated manifest behind.
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -379,9 +422,14 @@ def _read_csv_columns(path: str, columns: Sequence[str]) -> list[np.ndarray]:
                 f"{path}: missing column {col!r} (found {header})")
         k = header.index(col)
         try:
-            out.append(np.array([float(r[k]) for r in rows]))
+            values = np.array([float(r[k]) for r in rows])
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: bad value in column {col!r}: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ConfigError(f"{path}: non-finite value {rows[bad[0]][k]!r} "
+                              f"in column {col!r}, data row {bad[0] + 1}")
+        out.append(values)
     return out
 
 
@@ -423,6 +471,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             fh.write(f"{k},{_fmt(val)}\n")
         fh.write(f"sse,{_fmt(res.sse)}\n")
         fh.write(f"converged,{int(res.converged)}\n")
+        fh.write(f"iterations,{res.iterations}\n")
     print(f"fit {args.kind}: converged={res.converged} sse={res.sse:.6g}")
     for k, val in rows:
         print(f"  {k} = {val:.6g}")

@@ -11,12 +11,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "TMParams",
     "TMState",
     "advance",
     "on_spike",
     "peaks_for_train",
+    "peaks_with_jacobian",
     "integrate_reference",
 ]
 
@@ -73,24 +76,51 @@ def on_spike(state: TMState, params: TMParams) -> tuple[TMState, float]:
 
 def peaks_for_train(params: TMParams, spike_times: Sequence[float]) -> list[float]:
     """Efficacy peaks for a spike train, starting from rest (u=0, x=1)."""
+    return peaks_with_jacobian(params, spike_times)[0].tolist()
+
+
+def peaks_with_jacobian(
+    params: TMParams, spike_times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peaks for a spike train from rest, plus their (n, 4) Jacobian with
+    respect to (a, u_cap, tau_rec, tau_f), carried forward through the loop.
+    """
     times = list(spike_times)
     for earlier, later in zip(times, times[1:]):
         if later <= earlier:
             raise ValueError("spike times must be strictly increasing")
+    a, u_cap, tau_rec, tau_f = params.a, params.u_cap, params.tau_rec, params.tau_f
     # Plain-float fold of advance/on_spike: the first spike sees dt = 0,
-    # where exp(0) = 1 leaves the rest state exactly as it is.
+    # where exp(0) = 1 leaves the rest state exactly as it is. The state's
+    # sensitivities ride along; u does not depend on tau_rec.
     peaks: list[float] = []
+    rows: list[tuple[float, float, float, float]] = []
     u, x = 0.0, 1.0
+    u_c = u_f = x_c = x_r = x_f = 0.0
     prev = times[0] if times else 0.0
     for t in times:
         dt = t - prev
-        u *= math.exp(-dt / params.tau_f)
-        x = 1.0 - (1.0 - x) * math.exp(-dt / params.tau_rec)
-        u += params.u_cap * (1.0 - u)
-        peaks.append(params.a * u * x)
+        e_f = math.exp(-dt / tau_f)
+        e_r = math.exp(-dt / tau_rec)
+        u_f = u_f * e_f + u * (e_f * dt / tau_f) / tau_f
+        u_c *= e_f
+        u *= e_f
+        x_c *= e_r
+        x_f *= e_r
+        x_r = x_r * e_r - (1.0 - x) * (e_r * dt / tau_rec) / tau_rec
+        x = 1.0 - (1.0 - x) * e_r
+        u_c = u_c * (1.0 - u_cap) + (1.0 - u)
+        u_f *= 1.0 - u_cap
+        u += u_cap * (1.0 - u)
+        peaks.append(a * u * x)
+        rows.append((u * x, a * (u_c * x + u * x_c), a * u * x_r,
+                     a * (u_f * x + u * x_f)))
+        x_c = x_c * (1.0 - u) - x * u_c
+        x_r *= 1.0 - u
+        x_f = x_f * (1.0 - u) - x * u_f
         x *= 1.0 - u
         prev = t
-    return peaks
+    return np.array(peaks), np.array(rows).reshape(len(peaks), 4)
 
 
 def _rk4_decay_multiplier(h: float) -> float:

@@ -262,3 +262,97 @@ def test_force_mode_override_runs_every_trial_in_that_mode(tmp_path,
     assert all(rec.mode is Mode.SATURATING for recs in runs for rec in recs)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["overrides"]["network"]["force_mode"] == "saturating"
+
+
+_FIT_INPUTS = {
+    "tm": (("spike_time_s", "peak"), [(0.0, 0.2), (0.05, 0.25), (0.1, 0.3)], []),
+    "amplitude": (("amplitude_V", "dg_norm"),
+                  [(1.5, 0.01), (2.0, 0.03), (3.0, 0.1)], []),
+    "decay": (("time_s", "conductance_S"),
+              [(0.0, 3.1e-6), (0.1, 3.0e-6), (0.2, 2.95e-6)],
+              ["--g-eq", "2.9e-6"]),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("kind", sorted(_FIT_INPUTS))
+@pytest.mark.parametrize("col", [0, 1])
+def test_fit_rejects_non_finite_input(tmp_path, capsys, kind, col, bad):
+    header, rows, extra = _FIT_INPUTS[kind]
+    lines = [",".join(header)] + [f"{x!r},{y!r}" for x, y in rows]
+    cells = lines[2].split(",")
+    cells[col] = bad
+    lines[2] = ",".join(cells)
+    (tmp_path / "in.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["fit", kind, "--input", str(tmp_path / "in.csv"),
+               "--out", str(tmp_path / "fit"), *extra])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(header[col]) in err and "row 2" in err
+    assert not (tmp_path / "fit" / f"fit_{kind}.csv").exists()
+
+
+def test_fit_csv_reports_iterations(tmp_path):
+    header, rows, _ = _FIT_INPUTS["amplitude"]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    assert main(["fit", "amplitude", "--input", str(tmp_path / "in.csv"),
+                 "--out", str(tmp_path / "fit")]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "fit" / "fit_amplitude.csv").read_text().splitlines()]
+    assert rows[0] == ["parameter", "value"]
+    assert [r[0] for r in rows[-3:]] == ["sse", "converged", "iterations"]
+    assert int(rows[-1][1]) >= 1
+
+
+@pytest.mark.parametrize("preset,overrides,named", [
+    ("fig3b_amplitude", {"network": {"force_mode": "bogus", "dt": 0}},
+     "'network'"),
+    ("fig3b_amplitude", {"pattern": {"gap": -1}}, "'pattern'"),
+    ("iv_sweep", {"train": {"n": 2}}, "'train'"),
+    ("fig2_stp", {"network": {"dt": 1e-3}}, "'network'"),
+    ("fig4_sequence", {"device": {"g_c": 3.0e-6}}, "'device'"),
+    ("fig4_sequence", {"plan": {"repeats": 2}}, "'plan'"),
+    ("fig4_sequence", {"pattern": {"order": "ba"}}, "pattern.order"),
+    ("fig4_sequence", {"pattern": {"train": 1}}, "pattern.train"),
+    ("fig2_stp", {"plan": {"train": 1}}, "plan.train"),
+])
+def test_override_not_read_by_preset_rejected(tmp_path, capsys, preset,
+                                              overrides, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": preset, "trials": 2,
+                               "overrides": overrides,
+                               "out_dir": str(tmp_path / "out")}))
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"train": {"n": 2.5}}', "train.n"),
+    ('{"train": {"n": true}}', "train.n"),
+    ('{"plan": {"repeats": NaN}}', "plan.repeats"),
+    ('{"device": {"tau_f_dev": NaN}}', "device.tau_f_dev"),
+    ('{"device": {"g_c": NaN}}', "device.g_c"),
+    ('{"device": {"g_c": Infinity}}', "device.g_c"),
+    ('{"device": {"g_c": -Infinity}}', "device.g_c"),
+    ('{"device": {"g_c": 1e400}}', "device.g_c"),
+    ('{"device": {"g_c": ' + "9" * 400 + '}}', "device.g_c"),
+    ('{"device": {"g_c": "3e-6"}}', "device.g_c"),
+    ('{"device": {"polarity_sensitive": "no"}}', "device.polarity_sensitive"),
+    ('{"device": {"polarity_sensitive": 0}}', "device.polarity_sensitive"),
+])
+def test_override_of_wrong_type_or_non_finite_rejected(tmp_path, capsys, text,
+                                                        named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"preset": "fig2_stp", "overrides": ' + text
+                   + ', "out_dir": ' + json.dumps(str(tmp_path / "out")) + "}")
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["seed", "trials"])
+def test_non_finite_top_level_field_rejected(field):
+    with pytest.raises(ConfigError, match=field):
+        parse_config('{"preset": "fig2_stp", "%s": NaN}' % field)

@@ -90,6 +90,12 @@ def _assert_in_bounds(params, bounds):
 # High u_cap: starts with u_cap in {0.1, 0.5} alone all end in one local
 # minimum at about 3x the SSE of the true parameters.
 @example(a=1.0, u_cap=0.75, tau_rec=0.0625, tau_f=1.0, seed=5204)
+# Tiny peaks: unless the data are divided by their scale, TRF stops at its
+# first evaluation on gtol.
+@example(a=0.05, u_cap=0.02, tau_rec=3.0, tau_f=0.005, seed=3)
+# Slow recovery: needs the tau_rec = 2 starts.
+@example(a=2.5418823244444306, u_cap=0.050712249939134174,
+         tau_rec=1.5124926617192889, tau_f=0.3737852999188372, seed=721318108)
 def test_fit_tm_never_worse_than_true_params(a, u_cap, tau_rec, tau_f, seed):
     true = tm.TMParams(a=a, u_cap=u_cap, tau_rec=tau_rec, tau_f=tau_f)
     clean = np.array(tm.peaks_for_train(true, VARIED_SPIKES))
@@ -102,6 +108,18 @@ def test_fit_tm_never_worse_than_true_params(a, u_cap, tau_rec, tau_f, seed):
     _assert_in_bounds(res.params, {
         "a": (1e-12, 1e6 * a_hi), "u_cap": (1e-3, 1.0),
         "tau_rec": (1e-3, 100.0), "tau_f": (1e-3, 100.0)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fits_reject_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="finite"):
+        fitting.fit_tm([0.1, bad, 0.3], [0.0, 0.1, 0.2])
+    with pytest.raises(ValueError, match="finite"):
+        fitting.fit_tm([0.1, 0.2, 0.3], [0.0, bad, 0.2])
+    with pytest.raises(ValueError, match="finite"):
+        fitting.fit_amplitude_curve([(2.0, 0.1), (3.0, bad), (4.0, 0.3)])
+    with pytest.raises(ValueError, match="finite"):
+        fitting.fit_amplitude_curve([(2.0, 0.1), (bad, 0.2), (4.0, 0.3)])
 
 
 def test_fit_tm_bad_inputs_rejected():
@@ -134,6 +152,20 @@ def test_fit_amplitude_all_zero_degenerate():
         [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0)], v_th=1.0)
     assert not res.converged
     assert res.params["c_amp"] == 0.0
+
+
+@pytest.mark.parametrize("v0", [0.021, 0.047, 0.3, 1.5, 40.0])
+def test_amplitude_law_derivative_matches_central_differences(v0):
+    # dv / v0 spans both sides of the exponent cap at 50 for small v0, away
+    # from the kink at the cap itself.
+    dv = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    f, df = fitting._amplitude_law(dv, v0)
+    h = 1e-6 * v0
+    diff = (fitting._amplitude_law(dv, v0 + h)[0]
+            - fitting._amplitude_law(dv, v0 - h)[0]) / (2 * h)
+    np.testing.assert_allclose(df, diff, rtol=1e-5, atol=1e-9 * np.max(np.abs(f)))
+    if v0 < 0.05:
+        assert np.all(df[dv / v0 > 50.0] == 0.0)
 
 
 @given(

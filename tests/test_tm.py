@@ -96,6 +96,31 @@ def test_peaks_equal_advance_on_spike_fold_exactly(params, times):
     assert tm.peaks_for_train(params, times) == expected
 
 
+@pytest.mark.parametrize("params,times", [
+    (TMParams(a=1.0, u_cap=0.1, tau_f=0.5, tau_rec=0.02), [0.0, 0.4, 0.8]),
+    (TMParams(a=2.5, u_cap=0.9, tau_rec=2.0, tau_f=0.01),
+     [0.3, 0.31, 0.55, 1.7, 1.7001]),
+    (TMParams(a=0.03, u_cap=0.37, tau_rec=0.15, tau_f=0.07),
+     [0.0, 0.15, 0.55, 0.7, 1.3, 4.0]),
+    (TMParams(a=1.0, u_cap=0.2, tau_rec=0.05, tau_f=0.5),
+     [0.05 * k for k in range(6)]),
+])
+def test_peaks_with_jacobian_matches_central_differences(params, times):
+    peaks, jac = tm.peaks_with_jacobian(params, times)
+    assert peaks.tolist() == tm.peaks_for_train(params, times)
+    assert jac.shape == (len(times), 4)
+    theta = np.array([params.a, params.u_cap, params.tau_rec, params.tau_f])
+    for k in range(4):
+        h = 1e-6 * theta[k]
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        diff = (np.array(tm.peaks_for_train(TMParams(*up), times))
+                - np.array(tm.peaks_for_train(TMParams(*down), times))) / (2 * h)
+        np.testing.assert_allclose(jac[:, k], diff, rtol=1e-5,
+                                   atol=1e-9 * np.max(np.abs(jac)))
+
+
 def test_long_gap_resets_to_rest_peak():
     p = TMParams(a=1.0, u_cap=0.17, tau_f=0.3, tau_rec=0.1)
     peaks = tm.peaks_for_train(p, [0.0, 100.0, 200.0])
