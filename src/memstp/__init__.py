@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from . import cli, device, fitting, network, neuron, protocols, tm
+from . import device, fitting, network, neuron, protocols, tm
 from .trace import Trace
 
 __all__ = [
-    "cli",
     "device",
     "fitting",
     "network",

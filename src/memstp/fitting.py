@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult, least_squares
 
 from . import tm
 
@@ -61,6 +60,9 @@ def _least_squares(
     are divided by their largest magnitude so TRF's tolerances do not depend
     on their units. Every start in ``starts`` runs; the lowest cost wins.
     """
+    # Imported here so that only the fits load scipy.
+    from scipy.optimize import least_squares
+
     (c_lo, c_hi), *theta_bounds = bounds
     scale = float(np.max(np.abs(y))) or 1.0
     y_s = y / scale
@@ -84,7 +86,7 @@ def _least_squares(
         return cache[key]
 
     lo, hi = zip(*theta_bounds)
-    best: Optional[OptimizeResult] = None
+    best = None
     for start in starts:
         res = least_squares(lambda th: projected(th)[0], start,
                             jac=lambda th: projected(th)[1], bounds=(lo, hi),

@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import device as dev
 from . import neuron as nrn
@@ -230,13 +229,6 @@ def build_detector(topology: str, **overrides) -> Network:
 # Trial simulation
 # ---------------------------------------------------------------------------
 
-# Trials simulated together as one (trials, steps) batch. On the default
-# detector grid (1851 samples) peak memory grows by about 0.15 MB per trial
-# in a chunk: sixteen stay within about 1.5 MB of a one-trial batch, while
-# larger chunks save little more per-chunk Python overhead.
-_CHUNK = 16
-
-
 def _pulse_step_indices(times: Sequence[float], dt: float, n: int) -> list[int]:
     return [min(round(t / dt), n - 1) for t in times]
 
@@ -244,7 +236,7 @@ def _pulse_step_indices(times: Sequence[float], dt: float, n: int) -> list[int]:
 def _initial_draws(
     network: Network,
     mem_params: Sequence[DeviceParams],
-    trials: range,
+    trials: int,
     rng_for: Optional[Callable[[int], np.random.Generator]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial conductance and mode of every memristive synapse, per trial.
@@ -254,11 +246,11 @@ def _initial_draws(
     draw. The generator is only created for a trial that makes a draw, and
     ``rng_for=None`` makes none.
     """
-    g_eq0 = np.empty((len(mem_params), len(trials)))
-    modes = np.empty((len(mem_params), len(trials)), dtype=object)
+    g_eq0 = np.empty((len(mem_params), trials))
+    modes = np.empty((len(mem_params), trials), dtype=object)
     jitter = rng_for is not None and network.g0_jitter > 0.0
     draw_mode = rng_for is not None and network.force_mode is None
-    for col, trial in enumerate(trials):
+    for trial in range(trials):
         rng = rng_for(trial) if (jitter or draw_mode) and mem_params else None
         for row, params in enumerate(mem_params):
             g = params.g_eq0
@@ -271,8 +263,8 @@ def _initial_draws(
                 mode = dev.sample_mode(g, params, rng)
             else:
                 mode = Mode.FACILITATING
-            g_eq0[row, col] = g
-            modes[row, col] = mode
+            g_eq0[row, trial] = g
+            modes[row, trial] = mode
     return g_eq0, modes
 
 
@@ -286,13 +278,16 @@ def _memristor_currents(
     dt: float,
     include_write_charge: bool,
     g_post_delay: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Event-driven simulation of a batch of fresh devices, pushed onto the
+    g_out: Optional[np.ndarray] = None,
+) -> tuple[Iterator[np.ndarray], np.ndarray]:
+    """Event-driven simulation of a batch of fresh devices, read out on the
     sample grid. Device r starts at g_eq0[r] in mode modes[r]; all see the
     same pulses.
 
-    Returns (current, conductance) arrays of shape (devices, samples) and the
-    conductance of each device g_post_delay after its last pulse.
+    Returns an iterator over the grid's steps that yields every device's
+    current (and fills column k of ``g_out`` with the conductances, if
+    given), and the conductance of each device g_post_delay after its last
+    pulse.
     """
     params = syn.params
     state = replace(dev.initial_state(params), g_eq=g_eq0,
@@ -302,28 +297,34 @@ def _memristor_currents(
     # Piecewise segments: (start time, g_eq, delta_g, tau_d) after each pulse.
     segments = [(grid[0] if grid.size else 0.0, state.g_eq, state.delta_g,
                  state.tau_d)]
-    write_charges: list[tuple[float, np.ndarray]] = []
-    for t in pulse_times:
+    write_charges: dict[int, list[np.ndarray]] = {}
+    for t, k in zip(pulse_times, _pulse_step_indices(pulse_times, dt, grid.size)):
         state, _ = dev._pulse_update(dev.decay_to(state, params, t), params,
                                      Pulse(t=t, v=train.v, w=train.w))
         segments.append((t, state.g_eq, state.delta_g, state.tau_d))
-        write_charges.append((t, dev.conductance(state) * abs(train.v) * train.w))
+        if include_write_charge:
+            charge = dev.conductance(state) * abs(train.v) * train.w
+            write_charges.setdefault(k, []).append(charge / dt)
+    g_post = dev.conductance(
+        dev.decay_to(state, params, pulse_times[-1] + g_post_delay))
 
     # Sample k belongs to the latest segment whose start time <= grid[k].
     seg_starts, g_eqs, delta_gs, tau_ds = (np.array(c) for c in zip(*segments))
     which = np.clip(np.searchsorted(seg_starts, grid, side="right") - 1,
                     0, len(segments) - 1)
     relax = np.exp(-(grid - seg_starts[which]) / tau_ds[which])
-    g_series = g_eqs[which].T + delta_gs[which].T * relax
 
-    current = g_series * syn.read_v
-    if include_write_charge:
-        for t, charge in write_charges:
-            k = min(round(t / dt), grid.size - 1)
-            current[:, k] += charge / dt
+    def columns() -> Iterator[np.ndarray]:
+        for k, (seg, r) in enumerate(zip(which.tolist(), relax.tolist())):
+            g = g_eqs[seg] + delta_gs[seg] * r
+            if g_out is not None:
+                g_out[:, k] = g
+            current = g * syn.read_v
+            for charge in write_charges.get(k, ()):
+                current += charge
+            yield current
 
-    state = dev.decay_to(state, params, pulse_times[-1] + g_post_delay)
-    return current, g_series, dev.conductance(state)
+    return columns(), g_post
 
 
 def _static_currents(
@@ -349,10 +350,15 @@ def _rc_currents(
     drive = np.zeros(grid.size)
     for k in _pulse_step_indices(pulse_times, dt, grid.size):
         drive[k] += syn.g * abs(train.v) * train.w / dt
-    # First-order low-pass y' = (x - y)/tau, explicit step:
-    # y[k] = y[k-1] + a*(x[k] - y[k-1]) with a = dt/tau.
+    # First-order low-pass y' = (x - y)/tau, explicit step with a = dt/tau:
+    # y[k] = a*x[k] + (1 - a)*y[k-1].
     a = dt / syn.tau
-    return lfilter([a], [1.0, a - 1.0], drive) + syn.g * syn.read_v
+    out = np.empty(grid.size)
+    y = 0.0
+    for k, x in enumerate(drive.tolist()):
+        y = a * x + (1.0 - a) * y
+        out[k] = y
+    return out + syn.g * syn.read_v
 
 
 def _simulate(
@@ -363,11 +369,13 @@ def _simulate(
     dt: float,
     record_traces: bool,
 ) -> list[TrialRecord]:
-    """Simulate trials 0..trials-1 on fresh networks, _CHUNK at a time.
+    """Simulate trials 0..trials-1 on fresh networks, all as one batch.
 
     Static and RC synapse currents are the same in every trial and are
-    computed once; memristive currents and membranes are (trials, steps)
-    arrays. Trial i's draws come from ``rng_for(i)`` (see _initial_draws).
+    computed once; memristive currents are built one time step at a time and
+    fed straight to the membranes, so without ``record_traces`` memory grows
+    with the trials, not with trials x steps. Trial i's draws come from
+    ``rng_for(i)`` (see _initial_draws).
     """
     train = pattern.train
     t_a = network.lead
@@ -387,60 +395,55 @@ def _simulate(
     else:
         starts = [t_second, t_first]   # dynamic first, static second
 
-    pulse_times = [train.pulse_times(starts[idx])
-                   for idx in range(len(network.synapses))]
-    shared: list[Optional[np.ndarray]] = []
-    for syn, times in zip(network.synapses, pulse_times):
-        if isinstance(syn, StaticSynapse):
-            shared.append(_static_currents(syn, times, train, grid, dt))
-        elif isinstance(syn, RCSynapse):
-            shared.append(_rc_currents(syn, times, train, grid, dt))
-        else:
-            shared.append(None)
     mem_params = [s.params for s in network.synapses
                   if isinstance(s, MemristiveSynapse)]
+    g_eq0, modes = _initial_draws(network, mem_params, trials, rng_for)
+    draws = iter(zip(g_eq0, modes))
+    g_trace = np.empty((trials, n)) if record_traces and mem_params else None
+    sources = []  # per synapse: its current at each step
+    standing_g0 = []
+    first = None  # (g0, mode, g_post) of the first memristor
+    for idx, syn in enumerate(network.synapses):
+        times = train.pulse_times(starts[idx])
+        if isinstance(syn, StaticSynapse):
+            sources.append(_static_currents(syn, times, train, grid, dt))
+        elif isinstance(syn, RCSynapse):
+            sources.append(_rc_currents(syn, times, train, grid, dt))
+        else:
+            g_init, mode_init = next(draws)
+            columns, g_post = _memristor_currents(
+                syn, g_init, mode_init, times, train, grid, dt,
+                network.include_write_charge, network.g_post_delay,
+                g_out=g_trace if first is None else None)
+            sources.append(columns)
+            standing_g0.append(g_init * syn.read_v)
+            if first is None:
+                first = (g_init, mode_init, g_post)
+
     rc_standing = sum(
         s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
+    standing = sum(standing_g0) + rc_standing
+    v0 = np.broadcast_to(network.neuron.e_l + standing / network.neuron.g_l,
+                         (trials,))
+    v = np.empty((trials, n)) if record_traces else None
+    total = (sum(currents) for currents in zip(*sources))  # per step
+    times_out, spike_times = nrn._integrate(network.neuron, total, dt, v0, v)
 
     records: list[TrialRecord] = []
-    for lo in range(0, trials, _CHUNK):
-        chunk = range(lo, min(lo + _CHUNK, trials))
-        g_eq0, modes = _initial_draws(network, mem_params, chunk, rng_for)
-        draws = iter(zip(g_eq0, modes))
-        total = np.zeros((len(chunk), n))
-        standing_g0 = []
-        first = None  # (conductance, g0, mode, g_post) of the first memristor
-        for syn, times, current in zip(network.synapses, pulse_times, shared):
-            if current is None:
-                g_init, mode_init = next(draws)
-                current, g_series, g_post = _memristor_currents(
-                    syn, g_init, mode_init, times, train, grid, dt,
-                    network.include_write_charge, network.g_post_delay)
-                standing_g0.append(g_init * syn.read_v)
-                if first is None:
-                    first = (g_series, g_init, mode_init, g_post)
-            total += current
-
-        standing = sum(standing_g0) + rc_standing
-        v0 = network.neuron.e_l + standing / network.neuron.g_l
-        times_out, v, spike_times = nrn.run_traces(network.neuron, total, dt,
-                                                   v0=v0)
-        for r, spikes in enumerate(spike_times):
-            label = mode = g_trace = None
-            g0 = 0.0
-            if first is not None:
-                g_series, g0s, mode_row, g_post = first
-                g0, mode = float(g0s[r]), mode_row[r]
-                label = dev.classify_event(g0, float(g_post[r]))
-                g_trace = g_series[r]
-            records.append(TrialRecord(
-                pattern=pattern.order, spiked=bool(spikes),
-                membrane=(Trace(times_out, v[r], kind="vmem")
-                          if record_traces else None),
-                conductance=(Trace(times_out, g_trace, kind="conductance")
-                             if record_traces and g_trace is not None
-                             else None),
-                label=label, g0=g0, mode=mode, spike_times=tuple(spikes)))
+    for r, spikes in enumerate(spike_times):
+        label = mode = None
+        g0 = 0.0
+        if first is not None:
+            g0s, mode_row, g_post = first
+            g0, mode = float(g0s[r]), mode_row[r]
+            label = dev.classify_event(g0, float(g_post[r]))
+        records.append(TrialRecord(
+            pattern=pattern.order, spiked=bool(spikes),
+            membrane=(Trace(times_out, v[r], kind="vmem")
+                      if record_traces else None),
+            conductance=(Trace(times_out, g_trace[r], kind="conductance")
+                         if record_traces and first is not None else None),
+            label=label, g0=g0, mode=mode, spike_times=tuple(spikes)))
     return records
 
 

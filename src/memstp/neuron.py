@@ -3,18 +3,17 @@
 c_m dv/dt = -g_l (v - e_l) + g_l delta_t exp((v - v_t)/delta_t) + i_in
 
 Explicit fixed-step integration; with delta_t = 0 the exponential term is
-dropped (leaky IF) and the trace runners use a C-speed linear filter with the
-identical recursion, over one membrane or a batch of independent ones.
+dropped (leaky IF). ``step`` advances one membrane; the trace runners advance
+a batch of independent membranes together, one time step at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "NeuronParams",
@@ -22,7 +21,6 @@ __all__ = [
     "step",
     "run_trace",
     "run_traces",
-    "psc_from_conductance",
 ]
 
 # Cap on the exponential argument; keeps a diverging membrane finite until the
@@ -79,15 +77,16 @@ def step(
 ) -> tuple[NeuronState, bool]:
     """Advance the membrane one step; returns (state, spiked).
 
-    During the refractory window the membrane is clamped at v_reset and input
-    is ignored. ``t`` (the time of the step's end) is only used to stamp
-    t_last_spike.
+    During the refractory window (ceil(t_ref/dt) steps after a spike) the
+    membrane is clamped at v_reset and input is ignored. ``t`` (the time of
+    the step's end) is only used to stamp t_last_spike.
     """
     _check_dt(params, dt)
     if state.refrac_left > 0.0:
-        return replace(
-            state, v_m=params.v_reset,
-            refrac_left=max(state.refrac_left - dt, 0.0)), False
+        # Count whole steps, so float residue in refrac_left adds no step.
+        steps_left = max(round(state.refrac_left / dt) - 1, 0)
+        return replace(state, v_m=params.v_reset,
+                       refrac_left=steps_left * dt), False
 
     v = state.v_m
     i_total = -params.g_l * (v - params.e_l) + i_in
@@ -99,51 +98,60 @@ def step(
     if v >= params.v_peak:
         return replace(
             state, v_m=params.v_reset, t_last_spike=t,
-            refrac_left=params.t_ref), True
+            refrac_left=math.ceil(params.t_ref / dt) * dt), True
     return replace(state, v_m=v), False
 
 
-def psc_from_conductance(g: float, v_read: float) -> float:
-    """Post-synaptic current of a conductance read at a fixed bias."""
-    return g * v_read
+def _integrate(
+    params: NeuronParams,
+    currents: Iterable[Union[float, np.ndarray]],
+    dt: float,
+    v0: np.ndarray,
+    v_out: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, list[list[float]]]:
+    """Advance one membrane per entry of ``v0`` through ``currents``, which
+    yields each step's input current, one per membrane or one for all.
 
-
-def _run_trace_lif(
-    params: NeuronParams, current: np.ndarray, dt: float, v0: np.ndarray
-) -> tuple[np.ndarray, list[list[int]]]:
-    """Linear-filter fast path for delta_t == 0, one membrane per row of
-    ``current``, with spike/reset handling.
-
-    Implements exactly v[k+1] = alpha*v[k] + (dt/c_m)*(g_l*e_l + i[k]) along
-    each row, starting from v0[row]. All rows are filtered together; after
-    each detected crossing that row's filter restarts from v_reset past the
-    refractory window.
+    Each step is ``step`` over the batch: v = (dt/c_m)*(g_l*e_l + i) +
+    alpha*v, plus the capped exponential term if delta_t > 0, then spike,
+    reset and ceil(t_ref/dt) refractory steps. Fills column k of ``v_out``
+    with step k's membranes if given. Returns (step-end times, spike times
+    of each row).
     """
+    _check_dt(params, dt)
     alpha = 1.0 - dt * params.g_l / params.c_m
     coef = dt / params.c_m
-    drive = coef * (params.g_l * params.e_l + current)
-    m, n = drive.shape
-    spikes: list[list[int]] = [[] for _ in range(m)]
-    ref_steps = int(math.ceil(params.t_ref / dt)) if params.t_ref > 0.0 else 0
-
-    v = lfilter([1.0], [1.0, -alpha], drive, zi=(alpha * v0)[:, None])[0]
-    hit = v >= params.v_peak
-    for row in np.flatnonzero(hit.any(axis=1)):
-        k = int(hit[row].argmax())
-        while True:
-            spikes[row].append(k)
-            stop = min(k + 1 + ref_steps, n)
-            v[row, k:stop] = params.v_reset
-            if stop == n:
-                break
-            seg = lfilter([1.0], [1.0, -alpha], drive[row, stop:],
-                          zi=[alpha * params.v_reset])[0]
-            v[row, stop:] = seg
-            crossings = np.flatnonzero(seg >= params.v_peak)
-            if crossings.size == 0:
-                break
-            k = stop + int(crossings[0])
-    return v, spikes
+    rest = params.g_l * params.e_l
+    exp_gain = coef * params.g_l * params.delta_t
+    ref_steps = math.ceil(params.t_ref / dt)  # as in step
+    held = np.zeros(v0.shape, dtype=int)  # refractory steps still to serve
+    busy = 0  # steps until no membrane is refractory
+    spikes: list[list[int]] = [[] for _ in range(v0.size)]
+    v = v0
+    n = 0
+    for k, current in enumerate(currents):
+        drive = coef * (rest + current)
+        if exp_gain > 0.0:
+            drive = drive + exp_gain * np.exp(
+                np.minimum((v - params.v_t) / params.delta_t, _EXP_ARG_MAX))
+        v = drive + alpha * v
+        if busy:
+            clamped = held > 0
+            v[clamped] = params.v_reset
+            held -= clamped
+            busy -= 1
+        fired = (v >= params.v_peak).nonzero()[0]
+        if fired.size:
+            v[fired] = params.v_reset
+            held[fired] = ref_steps
+            busy = ref_steps
+            for row in fired.tolist():
+                spikes[row].append(k)
+        if v_out is not None:
+            v_out[:, k] = v
+        n = k + 1
+    times = dt * np.arange(1, n + 1)
+    return times, [[float(times[k]) for k in idx] for idx in spikes]
 
 
 def run_traces(
@@ -158,27 +166,12 @@ def run_traces(
     ``v0`` is the starting membrane, one value for all rows or one per row
     (rest if not given). Each row matches ``run_trace`` on that row alone.
     """
-    _check_dt(params, dt)
     current = np.asarray(current, dtype=float)
-    m, n = current.shape
-    times = dt * np.arange(1, n + 1)
     v0 = np.broadcast_to(np.asarray(params.e_l if v0 is None else v0,
-                                    dtype=float), (m,))
-
-    if params.delta_t == 0.0:
-        v, spike_idx = _run_trace_lif(params, current, dt, v0)
-    else:
-        v = np.empty((m, n), dtype=float)
-        spike_idx = [[] for _ in range(m)]
-        for row in range(m):
-            state = NeuronState(v_m=float(v0[row]))
-            for k in range(n):
-                state, spiked = step(state, params, float(current[row, k]), dt,
-                                     t=float(times[k]))
-                v[row, k] = state.v_m
-                if spiked:
-                    spike_idx[row].append(k)
-    return times, v, [[float(times[k]) for k in idx] for idx in spike_idx]
+                                    dtype=float), current.shape[:1])
+    v = np.empty(current.shape)
+    times, spike_times = _integrate(params, current.T, dt, v0, v)
+    return times, v, spike_times
 
 
 def run_trace(

@@ -37,6 +37,3 @@ class Trace:
     @property
     def column_name(self) -> str:
         return _COLUMN_NAMES.get(self.kind, self.kind)
-
-    def __len__(self) -> int:
-        return int(self.times.size)

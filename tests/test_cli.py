@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -356,3 +359,40 @@ def test_override_of_wrong_type_or_non_finite_rejected(tmp_path, capsys, text,
 def test_non_finite_top_level_field_rejected(field):
     with pytest.raises(ConfigError, match=field):
         parse_config('{"preset": "fig2_stp", "%s": NaN}' % field)
+
+
+# ---------------------------------------------------------------------------
+# Entry points and import weight
+# ---------------------------------------------------------------------------
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's memstp."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "default", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("module", ["memstp", "memstp.cli"])
+def test_python_m_version_runs_clean(module):
+    proc = run_python("-m", module, "--version")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.split() == [cli.__version__]
+
+
+def test_detector_run_does_not_import_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "fig4_sequence", "trials": 20}))
+    proc = run_python("-c", (
+        "import sys, memstp.cli\n"
+        "memstp.cli.build_parser()\n"
+        f"code = memstp.cli.main(['simulate', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m == 'scipy' or m.startswith('scipy.')))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "trials_ba.csv").is_file()

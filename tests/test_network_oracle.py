@@ -223,7 +223,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batched_monte_carlo_matches_per_trial_reference(case, order):
     network = CASES[case]()
-    trials = 2 * net._CHUNK + 5
+    trials = 37
     pattern = PatternSpec(order=order)
     if case == "barrier_polarity":
         # Positive pulses: the polarity-sensitive step depresses.
