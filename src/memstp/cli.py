@@ -451,6 +451,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    for flag, value in (("--g-eq", args.g_eq), ("--v-th", args.v_th)):
+        _expect(value is None or math.isfinite(value),
+                f"{flag} must be a finite number, got {value!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "decay":
@@ -571,7 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

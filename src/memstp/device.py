@@ -11,7 +11,9 @@ down toward a floor. Pulse energy feeds a leaky accumulator; once it exceeds
 a state-dependent barrier the equilibrium conductance takes a discrete
 non-volatile step.
 
-All operations are pure: they take a state and return a new one.
+All operations are pure: they take a state and return a new one. The state
+changes only at pulses; a read between pulses is the closed-form relaxation
+``conductance(state, t)`` and leaves the state as it is.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class DeviceParams:
         tau_d_base, gamma, tau_d_min, tau_d_max, dt_ref: volatile-decay rate
             law tau_d = clip(tau_d_base * (dt_ref / dt_pulse)**gamma).
         kappa_sat: per-pulse equilibrium decrement rate in Saturating mode.
-        g_floor: conductance the Saturating decrement walks toward.
+        g_floor: conductance the Saturating decrement walks down toward; an
+            equilibrium at or below it is left alone.
         g_c, sigma_s: midpoint and width of the logistic Saturating-mode
             probability p_S(g0).
         e0, beta: barrier law E_i = e0 * (1 + beta*(g_eq-g_min)/(g_max-g_min)).
@@ -111,12 +114,16 @@ class DeviceParams:
     polarity_sensitive: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.g_min <= self.g_eq0 <= self.g_max):
-            raise ValueError("require 0 < g_min <= g_eq0 <= g_max")
-        for name in ("tau_f_dev", "tau_rec_dev", "tau_d_base", "tau_d_min",
-                     "tau_d_max", "tau_acc", "dt_ref"):
+        for name in ("g_eq0", "g_floor"):
+            if not (0.0 < self.g_min <= getattr(self, name) <= self.g_max):
+                raise ValueError(f"require 0 < g_min <= {name} <= g_max")
+        for name in ("v0", "tau_f_dev", "tau_rec_dev", "tau_d_base",
+                     "tau_d_min", "tau_d_max", "tau_acc", "dt_ref"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("c_amp", "gamma"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.u_dev <= 1.0):
             raise ValueError("u_dev must be in (0, 1]")
         if not (0.0 <= self.kappa_sat < 1.0):
@@ -169,9 +176,20 @@ def initial_state(params: DeviceParams, t0: float = 0.0) -> DeviceState:
     )
 
 
-def conductance(state: DeviceState) -> float:
-    """Total conductance G = g_eq + delta_g."""
-    return state.g_eq + state.delta_g
+def conductance(state: DeviceState, t=None):
+    """Total conductance G = g_eq + delta_g at ``state.t_last``, or at
+    ``t >= t_last`` (a float or an array) g_eq + delta_g*exp(-(t - t_last)/tau_d).
+
+    A read is the closed-form relaxation: it never changes the state.
+    """
+    if t is None:
+        return state.g_eq + state.delta_g
+    dt = np.subtract(t, state.t_last)
+    if np.any(dt < 0.0):
+        raise ValueError(
+            f"time reversal: t={float(np.min(t))} is before "
+            f"state.t_last={state.t_last}")
+    return state.g_eq + state.delta_g * np.exp(-dt / state.tau_d)
 
 
 def decay_to(state: DeviceState, params: DeviceParams, t: float) -> DeviceState:
@@ -220,13 +238,13 @@ def apply_pulse(
 
     Sequence: relax to the pulse time; for write pulses (|v| >= v_th) re-set
     tau_d from the inter-pulse interval, facilitate u, take a headroom-
-    proportional jump, deplete x, and in Saturating mode decrement the
-    equilibrium toward g_floor. Every pulse (including sub-threshold reads)
-    deposits g*v^2*w into the accumulator; crossing the barrier takes a
+    proportional jump, deplete x, and in Saturating mode decrement an
+    equilibrium above g_floor toward it. Every pulse (sub-threshold ones
+    too) deposits g*v^2*w into the accumulator; crossing the barrier takes a
     non-volatile equilibrium step and resets the accumulator.
 
     Sub-threshold pulses do not count as write events: they leave tau_d and
-    t_last_pulse alone so that periodic read probes cannot drive the rate law.
+    t_last_pulse alone so that they cannot drive the rate law.
     """
     return _pulse_update(decay_to(state, params, pulse.t), params, pulse)
 
@@ -271,7 +289,8 @@ def _pulse_update(
         jump = headroom * s * u * x
         jump = _select(headroom < jump, headroom, jump)
         x = x * (1.0 - u)
-        g_eq = _select(state.mode == Mode.SATURATING,
+        # A Saturating train only walks the equilibrium down toward g_floor.
+        g_eq = _select((state.mode == Mode.SATURATING) & (g_eq > params.g_floor),
                        g_eq - params.kappa_sat * (g_eq - params.g_floor), g_eq)
         delta_g = delta_g + jump
         t_last_pulse = pulse.t
@@ -320,7 +339,7 @@ def resample_mode_for_train(
     """
     if state.t_last_pulse is not None and t - state.t_last_pulse < params.t_rec_min:
         return state
-    g0 = conductance(decay_to(state, params, t))
+    g0 = conductance(state, t)
     return replace(state, mode=sample_mode(g0, params, rng))
 
 

@@ -305,8 +305,7 @@ def _memristor_currents(
         if include_write_charge:
             charge = dev.conductance(state) * abs(train.v) * train.w
             write_charges.setdefault(k, []).append(charge / dt)
-    g_post = dev.conductance(
-        dev.decay_to(state, params, pulse_times[-1] + g_post_delay))
+    g_post = dev.conductance(state, pulse_times[-1] + g_post_delay)
 
     # Sample k belongs to the latest segment whose start time <= grid[k].
     seg_starts, g_eqs, delta_gs, tau_ds = (np.array(c) for c in zip(*segments))

@@ -1,6 +1,10 @@
 """Stimulus-protocol builders and runners: pulse trains with recovery gaps,
 per-event conductance records, binned mode statistics, and the rate/amplitude
-sweeps."""
+sweeps.
+
+Only pulses change a device. Conductance reads are instantaneous closed-form
+evaluations of the last pulse's state (``device.conductance(state, t)``):
+they carry no voltage, deposit no energy and never change the state."""
 
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ __all__ = [
     "EventRecord",
     "BinSpec",
     "BinStats",
-    "read_conductance",
     "apply_train",
     "train_trace",
     "run_protocol",
@@ -56,12 +59,11 @@ class PulseTrain:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A train repeated with recovery gaps, plus read-probe settings."""
+    """A train repeated with recovery gaps, plus read times."""
 
     train: PulseTrain = PulseTrain()
     repeats: int = 600
     t_rec: float = 10.0
-    read_v: float = 0.1
     sample_dt: float = 1e-3
     g_post_delay: float = 10e-3
 
@@ -118,18 +120,6 @@ class BinStats:
     overflow: int
 
 
-def read_conductance(
-    state: DeviceState, params: DeviceParams, t: float
-) -> tuple[DeviceState, float]:
-    """Sample the conductance with an instantaneous sub-threshold probe.
-
-    The probe only advances the relaxation clock; it deposits no energy and
-    never writes.
-    """
-    state = dev.decay_to(state, params, t)
-    return state, dev.conductance(state)
-
-
 def apply_train(
     state: DeviceState,
     params: DeviceParams,
@@ -152,28 +142,23 @@ def train_trace(
     sample_dt: float,
     tail: float = 1.0,
 ) -> tuple[DeviceState, Trace]:
-    """Apply a train while sampling the conductance with read probes.
+    """Apply a train and sample the conductance every ``sample_dt``.
 
-    Returns the post-train state and the sampled G(t) trace (train span plus
-    ``tail`` seconds of relaxation).
+    Returns the state after the last pulse and the sampled G(t) trace (train
+    span plus ``tail`` seconds of relaxation). A sample at or after a pulse
+    reads the state that pulse left; reads never change the state.
     """
     if sample_dt <= 0.0:
         raise ValueError("sample_dt must be > 0")
     times = np.arange(t0, t0 + train.duration + tail, sample_dt)
     pulses = train.pulse_times(t0)
-    values = np.empty(times.size)
-    next_pulse = 0
-    for k, t in enumerate(times):
-        while next_pulse < len(pulses) and pulses[next_pulse] <= t:
-            state, _ = dev.apply_pulse(
-                state, params,
-                Pulse(t=pulses[next_pulse], v=train.v, w=train.w))
-            next_pulse += 1
-        state, values[k] = read_conductance(state, params, float(t))
-    while next_pulse < len(pulses):
-        state, _ = dev.apply_pulse(
-            state, params, Pulse(t=pulses[next_pulse], v=train.v, w=train.w))
-        next_pulse += 1
+    states = [state]
+    for t in pulses:
+        state, _ = dev.apply_pulse(state, params, Pulse(t=t, v=train.v, w=train.w))
+        states.append(state)
+    # states[k] holds from pulse k-1 (inclusive) until pulse k.
+    pieces = np.split(times, np.searchsorted(times, pulses))
+    values = np.concatenate([dev.conductance(s, ts) for s, ts in zip(states, pieces)])
     return state, Trace(times, values, kind="conductance")
 
 
@@ -187,25 +172,22 @@ def run_protocol(
 
     Per repeat: read g0, draw the train mode, apply the train recording the
     per-pulse peaks, read g_post after the configured delay, classify, then
-    idle for t_rec before the next train.
+    idle for t_rec before the next train. Returns the records and the state
+    after the last pulse; reads never change the state.
     """
-    if abs(plan.read_v) >= params.v_th:
-        raise ValueError("read_v must stay below the device write threshold")
     records: list[EventRecord] = []
     t = state.t_last
     for k in range(plan.repeats):
-        state, g0 = read_conductance(state, params, t)
+        g0 = dev.conductance(state, t)
         state = dev.resample_mode_for_train(state, params, t, rng)
         g_eq_before = state.g_eq
         state, peaks = apply_train(state, params, plan.train, t)
-        t_last_pulse = t + (plan.train.n - 1) * plan.train.t_int
-        state, g_post = read_conductance(
-            state, params, t_last_pulse + plan.g_post_delay)
+        g_post = dev.conductance(state, state.t_last + plan.g_post_delay)
         label = dev.classify_event(g0, g_post)
         records.append(EventRecord(
             index=k, g0=g0, g_post=g_post, peaks=tuple(peaks), label=label,
             mode=state.mode, g_eq_before=g_eq_before, g_eq_after=state.g_eq))
-        t = t_last_pulse + plan.train.w + plan.t_rec
+        t = state.t_last + plan.train.w + plan.t_rec
     return records, state
 
 
@@ -258,15 +240,9 @@ def decay_sweep(
         train = PulseTrain(n=2, v=amplitude, w=width, t_int=t_int)
         state = dev.resample_mode_for_train(state, params, 0.0, rng)
         state, _ = apply_train(state, params, train, 0.0)
-        t_last = t_int
-        g_eq = state.g_eq
-        span = 4.0 * state.tau_d
-        times = np.linspace(t_last + 1e-3, t_last + span, n_samples)
-        values = []
-        for t in times:
-            state, g = read_conductance(state, params, float(t))
-            values.append(g)
-        fit = fitting.fit_decay(times - t_last, values, g_eq)
+        times = np.linspace(t_int + 1e-3, t_int + 4.0 * state.tau_d, n_samples)
+        fit = fitting.fit_decay(times - t_int, dev.conductance(state, times),
+                                state.g_eq)
         results.append((t_int, fit))
     return results
 

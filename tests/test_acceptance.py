@@ -125,7 +125,7 @@ def test_criterion_05_rate_law():
                                             np.random.default_rng(0))
         train = pr.PulseTrain(n=2, v=4.0, w=10e-6, t_int=t_int)
         state, _ = pr.apply_train(state, params, train, 0.0)
-        state, g = pr.read_conductance(state, params, t_int + 120.0)
+        g = dev.conductance(state, t_int + 120.0)
         assert abs(g - state.g_eq) < 0.01 * state.g_eq
     report(5, "fitted tau_d strictly decreasing over "
               f"{[f'{t * 1e3:.0f}ms' for t in t_ints]}; "

@@ -130,13 +130,42 @@ def test_simulate_bad_config_exit_code(tmp_path):
 
 def test_simulate_runtime_violation_exit_code(tmp_path):
     cfg = tmp_path / "c.json"
-    # read_v above the write threshold violates the protocol contract
+    # the amplitude sweep starts at 1.5 V, below a 5 V write threshold
     cfg.write_text(json.dumps({
-        "preset": "fig2_stp",
-        "overrides": {"plan": {"read_v": 3.0}},
+        "preset": "fig3b_amplitude",
+        "overrides": {"device": {"v_th": 5.0}},
         "out_dir": str(tmp_path / "out"),
     }))
     assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_RUNTIME
+
+
+def _simulate_device_override(tmp_path, preset, patch):
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"preset": preset, "seed": 1,
+                               "overrides": {"device": patch},
+                               "out_dir": str(out)}))
+    return main(["simulate", "--config", str(cfg)]), out
+
+
+@pytest.mark.parametrize("patch", [
+    {"v0": 0}, {"gamma": -50}, {"g_floor": 1e-6}, {"g_floor": 4e-6},
+    {"c_amp": -2.0},
+])
+def test_device_override_out_of_range_rejected(tmp_path, capsys, patch):
+    rc, out = _simulate_device_override(tmp_path, "fig2_stp", patch)
+    assert rc == cli.EXIT_CONFIG
+    assert next(iter(patch)) in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("preset", ["fig2_stp", "iv_sweep", "fig3b_amplitude"])
+def test_arithmetic_overflow_is_runtime_error(tmp_path, capsys, preset):
+    # exp((|v| - v_th)/v0) overflows a float on the first write pulse
+    rc, _ = _simulate_device_override(tmp_path, preset, {"v0": 0.001})
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "Traceback" not in err
 
 
 def test_fig3b_simulate_writes_manifest_and_csv(tmp_path):
@@ -292,6 +321,20 @@ def test_fit_rejects_non_finite_input(tmp_path, capsys, kind, col, bad):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert repr(header[col]) in err and "row 2" in err
+    assert not (tmp_path / "fit" / f"fit_{kind}.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind,flag", [("decay", "--g-eq"),
+                                       ("amplitude", "--v-th")])
+def test_fit_rejects_non_finite_flag(tmp_path, capsys, kind, flag, bad):
+    header, rows, _ = _FIT_INPUTS[kind]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    rc = main(["fit", kind, "--input", str(tmp_path / "in.csv"),
+               "--out", str(tmp_path / "fit"), f"{flag}={bad}"])
+    assert rc == cli.EXIT_CONFIG
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "fit" / f"fit_{kind}.csv").exists()
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from memstp import device as dev
@@ -84,6 +84,30 @@ def test_decay_monotone_relaxation(params):
     offsets = [abs(dev.conductance(dev.decay_to(s, params, g)) - s.g_eq)
                for g in gaps]
     assert all(a >= b for a, b in zip(offsets, offsets[1:]))
+
+
+# ---------------------------------------------------------------------------
+# conductance reads
+# ---------------------------------------------------------------------------
+
+
+def test_conductance_read_is_closed_form_relaxation(params):
+    s = dev.initial_state(params)
+    s, _ = dev.apply_pulse(s, params, Pulse(t=0.0, v=-4.0, w=1e-5))
+    assert dev.conductance(s, s.t_last) == dev.conductance(s)
+    times = np.linspace(0.0, 3.0, 31)
+    reads = dev.conductance(s, times)
+    assert reads.shape == times.shape
+    for t, g in zip(times, reads):
+        decayed = dev.conductance(dev.decay_to(s, params, float(t)))
+        assert g == pytest.approx(decayed, rel=1e-15)
+        assert dev.conductance(s, float(t)) == g
+
+
+@pytest.mark.parametrize("t", [-1e-9, np.array([0.1, -1e-9])])
+def test_conductance_read_time_reversal_rejected(state, t):
+    with pytest.raises(ValueError, match="time reversal"):
+        dev.conductance(state, t)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +258,71 @@ def test_bounds_invariant_under_random_drive(seed, n_pulses):
         assert 0.0 <= s.x <= 1.0
         assert s.acc >= 0.0
         assert params.tau_d_min <= s.tau_d <= params.tau_d_max
+
+
+@st.composite
+def device_params(draw):
+    """DeviceParams around the defaults, with v0 >= 0.1 so that no exponent
+    overflows for |v| <= 6. Some draws put g_floor below g_min or make c_amp
+    negative; validation must refuse those, and they are rejected."""
+    g_min = draw(st.floats(1e-6, 5e-6))
+    span = draw(st.floats(0.1e-6, 2e-6))
+    g_max = g_min + span
+
+    def within(lo=0.0):
+        return min(g_min + span * draw(st.floats(lo, 1.0)), g_max)
+
+    tau_d_min = draw(st.floats(1e-3, 1.0))
+    kw = dict(
+        g_min=g_min, g_max=g_max, g_eq0=within(), g_floor=within(-0.25),
+        g_c=within(), sigma_s=span * draw(st.floats(0.01, 0.5)),
+        v_th=draw(st.floats(0.1, 3.0)), v0=draw(st.floats(0.1, 10.0)),
+        c_amp=draw(st.floats(-0.1, 1.0)), u_dev=draw(st.floats(0.01, 1.0)),
+        tau_f_dev=draw(st.floats(1e-3, 5.0)),
+        tau_rec_dev=draw(st.floats(1e-3, 5.0)),
+        tau_d_base=draw(st.floats(1e-3, 5.0)), gamma=draw(st.floats(0.0, 2.0)),
+        tau_d_min=tau_d_min,
+        tau_d_max=tau_d_min * draw(st.floats(1.0, 100.0)),
+        dt_ref=draw(st.floats(1e-3, 1.0)),
+        kappa_sat=draw(st.floats(0.0, 0.99)),
+        e0=draw(st.floats(0.0, 2e-9)), beta=draw(st.floats(0.0, 5.0)),
+        tau_acc=draw(st.floats(0.1, 100.0)),
+        dg_nv=span * draw(st.floats(0.0, 0.5)),
+        t_rec_min=draw(st.floats(0.0, 2.0)),
+        polarity_sensitive=draw(st.booleans()),
+    )
+    try:
+        return DeviceParams(**kw)
+    except ValueError:
+        reject()
+
+
+@given(
+    params=device_params(),
+    seed=st.integers(0, 2 ** 32 - 1),
+    pulses=st.lists(st.tuples(st.floats(1e-4, 3.0), st.floats(-6.0, 6.0),
+                              st.floats(1e-6, 1e-3)), min_size=1, max_size=30),
+)
+# A Saturating device below g_floor with a full jump: the decrement used to
+# raise g_eq toward the floor and push G past g_max.
+@example(params=DeviceParams(g_eq0=2.6e-6, g_floor=3.5e-6, g_c=2.5e-6,
+                             sigma_s=0.01e-6, c_amp=1.0, kappa_sat=0.5),
+         seed=0, pulses=[(1.0, -4.0, 1e-5)])
+@settings(max_examples=150, deadline=None)
+def test_bounds_invariant_over_random_params(params, seed, pulses):
+    rng = np.random.default_rng(seed)
+    s = dev.initial_state(params)
+    t = 0.0
+    for gap, v, w in pulses:
+        t += gap
+        assert (params.g_min - 1e-18 <= dev.conductance(s, t)
+                <= params.g_max + 1e-18)
+        s = dev.resample_mode_for_train(s, params, t, rng)
+        s, _ = dev.apply_pulse(s, params, Pulse(t=t, v=v, w=w))
+        assert params.g_min - 1e-18 <= dev.conductance(s) <= params.g_max + 1e-18
+        assert 0.0 <= s.u <= 1.0
+        assert 0.0 <= s.x <= 1.0
+        assert s.acc >= 0.0
 
 
 def reference_apply_pulse(state, params, pulse):

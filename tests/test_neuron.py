@@ -60,6 +60,18 @@ def test_lif_trace_matches_exact_exponential():
     assert np.max(np.abs(v - exact)) < 0.005 * v_inf
 
 
+def test_spike_fires_at_exactly_v_peak():
+    # From v = e_l = 0 with no exponential term, both paths compute
+    # v = (dt/c_m) * i exactly on the first step, which equals v_peak.
+    dt, i = 1e-4, 1e-9
+    params = NeuronParams(delta_t=0.0, e_l=0.0,
+                          v_peak=(dt / NeuronParams().c_m) * i)
+    _, spiked = nrn.step(NeuronState(v_m=0.0), params, i, dt, t=dt)
+    assert spiked
+    _, _, spikes = nrn.run_trace(params, np.full(3, i), dt, v0=0.0)
+    assert spikes[:1] == [dt]
+
+
 def test_dt_stability_contract_rejected():
     p = lif_params()
     with pytest.raises(ValueError, match="stability"):

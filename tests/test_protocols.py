@@ -41,13 +41,6 @@ def test_plan_validation():
         make_plan(t_rec=0.5)  # shorter than the train
 
 
-def test_plan_read_probe_must_be_subthreshold(params):
-    plan = make_plan(read_v=2.0)
-    with pytest.raises(ValueError, match="read_v"):
-        pr.run_protocol(dev.initial_state(params), params, plan,
-                        np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # run_protocol
 # ---------------------------------------------------------------------------
@@ -126,6 +119,43 @@ def test_train_trace_shows_peaks_and_relaxation(params):
     assert float(np.max(trace.values)) > params.g_eq0
     # the tail relaxes back toward the (possibly stepped) equilibrium
     assert trace.values[-1] == pytest.approx(state.g_eq, rel=1e-2)
+
+
+def test_train_trace_matches_interleaved_probe_loop(params):
+    # Oracle: relax a copy of the state to every sample in time order, with
+    # each pulse applied before the samples at or after its onset.
+    # Binary fractions, so samples fall exactly on the pulse onsets.
+    train = pr.PulseTrain(n=4, v=-4.0, w=1e-5, t_int=0.25)
+    start = dev.initial_state(params)
+    state, trace = pr.train_trace(start, params, train, 0.0, 1 / 32, tail=1.0)
+    pulses = train.pulse_times(0.0)
+    ref, k = start, 0
+    for t, g in zip(trace.times, trace.values):
+        while k < len(pulses) and pulses[k] <= t:
+            ref, _ = dev.apply_pulse(ref, params,
+                                     dev.Pulse(t=pulses[k], v=train.v, w=train.w))
+            k += 1
+        ref = dev.decay_to(ref, params, float(t))
+        assert g == pytest.approx(dev.conductance(ref), rel=1e-13)
+    # a sample that falls on a pulse onset reads the state after the pulse
+    on_pulse = np.isin(trace.times, pulses)
+    assert on_pulse.sum() == len(pulses)
+    assert np.all(trace.values[on_pulse] > params.g_eq0)
+    # the returned state is the one after the last pulse
+    after, _ = pr.apply_train(start, params, train, 0.0)
+    assert state == after
+
+
+def test_run_protocol_returns_state_after_last_pulse(params):
+    plan = make_plan(repeats=3)
+    records, state = pr.run_protocol(
+        dev.initial_state(params), params, plan, np.random.default_rng(4))
+    train_span = (plan.train.n - 1) * plan.train.t_int
+    last_pulse = 3 * train_span + 2 * (plan.train.w + plan.t_rec)
+    assert state.t_last == state.t_last_pulse
+    assert state.t_last == pytest.approx(last_pulse, rel=1e-12)
+    assert records[-1].g_post == dev.conductance(
+        state, state.t_last + plan.g_post_delay)
 
 
 # ---------------------------------------------------------------------------
