@@ -200,29 +200,31 @@ def emit_csv(obj: Any, path: Path | str) -> Path:
     """Write a Trace, record list, or (x, y) pair list as CSV.
 
     Header row then data rows; floats carry 9 significant digits; the final
-    row is newline-terminated.
+    row is newline-terminated. Trace and event rows are written from one
+    '%.9g' row template each, which formats a float exactly as ``_fmt``.
     """
     path = Path(path)
     try:
+        # Created with its first file, so a refused run leaves no directory.
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             if isinstance(obj, Trace):
                 fh.write(f"time_s,{obj.column_name}\n")
-                for t, v in zip(obj.times, obj.values):
-                    fh.write(f"{_fmt(float(t))},{_fmt(float(v))}\n")
+                fh.writelines("%.9g,%.9g\n" % row for row in
+                              zip(obj.times.tolist(), obj.values.tolist()))
             elif isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], Trace):
                 # (v, i) style paired traces share the time base.
                 a, b = obj
                 fh.write(f"time_s,{a.column_name},{b.column_name}\n")
-                for t, x, y in zip(a.times, a.values, b.values):
-                    fh.write(f"{_fmt(float(t))},{_fmt(float(x))},{_fmt(float(y))}\n")
+                fh.writelines("%.9g,%.9g,%.9g\n" % row for row in zip(
+                    a.times.tolist(), a.values.tolist(), b.values.tolist()))
             elif isinstance(obj, list) and obj and isinstance(obj[0], protocols.EventRecord):
                 n = len(obj[0].peaks)
                 peak_cols = ",".join(f"peak_{k + 1}" for k in range(n))
                 fh.write(f"index,g0_S,g_post_S,label,{peak_cols}\n")
-                for rec in obj:
-                    peaks = ",".join(_fmt(p) for p in rec.peaks)
-                    fh.write(f"{rec.index},{_fmt(rec.g0)},{_fmt(rec.g_post)},"
-                             f"{rec.label.value},{peaks}\n")
+                row = "%d,%.9g,%.9g,%s" + ",%.9g" * n + "\n"
+                fh.writelines(row % (rec.index, rec.g0, rec.g_post,
+                                     rec.label.value, *rec.peaks) for rec in obj)
             elif isinstance(obj, list) and obj and isinstance(obj[0], network.TrialRecord):
                 fh.write("index,pattern,spiked,label,g0_S,n_spikes\n")
                 for i, rec in enumerate(obj):
@@ -270,6 +272,7 @@ def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
     # without leaving a truncated manifest behind.
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     path = out_dir / "manifest.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
     return path
@@ -387,7 +390,6 @@ def _run_iv_preset(config: RunConfig, out: Path) -> dict:
 
 def run_config(config: RunConfig) -> int:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if config.preset in ("fig2_stp", "fig2f_drift"):
         resolved = _run_protocol_preset(config, out)
     elif config.preset == "fig3a_decay":
@@ -455,7 +457,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         _expect(value is None or math.isfinite(value),
                 f"{flag} must be a finite number, got {value!r}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "decay":
         if args.g_eq is None:
             raise ConfigError("fit decay requires --g-eq")
@@ -468,13 +469,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         v, y = _read_csv_columns(args.input, ["amplitude_V", "dg_norm"])
         res = fitting.fit_amplitude_curve(list(zip(v, y)), v_th=args.v_th)
     rows = [(k, val) for k, val in res.params.items()]
-    with open(out / f"fit_{args.kind}.csv", "w", newline="") as fh:
-        fh.write("parameter,value\n")
-        for k, val in rows:
-            fh.write(f"{k},{_fmt(val)}\n")
-        fh.write(f"sse,{_fmt(res.sse)}\n")
-        fh.write(f"converged,{int(res.converged)}\n")
-        fh.write(f"iterations,{res.iterations}\n")
+    path = out / f"fit_{args.kind}.csv"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write("parameter,value\n")
+            for k, val in rows:
+                fh.write(f"{k},{_fmt(val)}\n")
+            fh.write(f"sse,{_fmt(res.sse)}\n")
+            fh.write(f"converged,{int(res.converged)}\n")
+            fh.write(f"iterations,{res.iterations}\n")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write CSV {path}: {exc}") from exc
     print(f"fit {args.kind}: converged={res.converged} sse={res.sse:.6g}")
     for k, val in rows:
         print(f"  {k} = {val:.6g}")
@@ -495,7 +501,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                        out_dir=args.out, trials=args.trials,
                        threads=args.threads)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     resolved = _run_detector_preset(config, out, _PATTERN_CHOICES[args.pattern])
     write_manifest(out, config, resolved)
     return EXIT_OK

@@ -14,6 +14,14 @@ non-volatile step.
 All operations are pure: they take a state and return a new one. The state
 changes only at pulses; a read between pulses is the closed-form relaxation
 ``conductance(state, t)`` and leaves the state as it is.
+
+One private kernel, ``_pulse_step``, holds the model equations: it relaxes a
+device from its last event to a pulse and applies the pulse. It works on
+plain values, a tuple of the ``DeviceState`` fields in declaration order,
+with floats for one device or with g_eq, delta_g, acc and mode as arrays for a
+batch of devices that share one pulse sequence. Every pulse loop (here, in
+``protocols`` and in ``network``) folds the kernel over such tuples; a
+``DeviceState`` is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -140,7 +148,8 @@ class DeviceState:
 
     ``decay_to`` and the pulse kernel also accept a batch of devices driven
     by one pulse sequence: g_eq, delta_g, acc and mode are then arrays over
-    the batch, and the remaining fields are shared.
+    the batch, and the remaining fields are shared. The kernel takes the
+    fields as a plain tuple, in this order.
     """
 
     g_eq: float
@@ -176,6 +185,18 @@ def initial_state(params: DeviceParams, t0: float = 0.0) -> DeviceState:
     )
 
 
+def _values(state: DeviceState) -> tuple:
+    """The plain-value form of ``state``: its fields in declaration order."""
+    return (state.g_eq, state.u, state.x, state.delta_g, state.tau_d,
+            state.acc, state.mode, state.t_last, state.t_last_pulse)
+
+
+def _read(s: tuple, t):
+    """Closed-form conductance of plain state ``s`` at ``t >= t_last``."""
+    g_eq, _, _, delta_g, tau_d, _, _, t_last, _ = s
+    return g_eq + delta_g * np.exp(-(t - t_last) / tau_d)
+
+
 def conductance(state: DeviceState, t=None):
     """Total conductance G = g_eq + delta_g at ``state.t_last``, or at
     ``t >= t_last`` (a float or an array) g_eq + delta_g*exp(-(t - t_last)/tau_d).
@@ -184,12 +205,25 @@ def conductance(state: DeviceState, t=None):
     """
     if t is None:
         return state.g_eq + state.delta_g
-    dt = np.subtract(t, state.t_last)
-    if np.any(dt < 0.0):
+    if np.any(np.less(t, state.t_last)):
         raise ValueError(
             f"time reversal: t={float(np.min(t))} is before "
             f"state.t_last={state.t_last}")
-    return state.g_eq + state.delta_g * np.exp(-dt / state.tau_d)
+    return _read(_values(state), t)
+
+
+def _relax(s: tuple, params: DeviceParams, t: float) -> tuple:
+    """``decay_to`` on plain values: the kernel's relaxation step."""
+    g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse = s
+    if t < t_last:
+        raise ValueError(f"time reversal: t={t} is before state.t_last={t_last}")
+    dt = t - t_last
+    if dt == 0.0:
+        return s
+    return (g_eq, u * math.exp(-dt / params.tau_f_dev),
+            1.0 - (1.0 - x) * math.exp(-dt / params.tau_rec_dev),
+            delta_g * math.exp(-dt / tau_d), tau_d,
+            acc * math.exp(-dt / params.tau_acc), mode, t, t_last_pulse)
 
 
 def decay_to(state: DeviceState, params: DeviceParams, t: float) -> DeviceState:
@@ -198,20 +232,7 @@ def decay_to(state: DeviceState, params: DeviceParams, t: float) -> DeviceState:
     delta_g and u decay exponentially, x recovers toward 1, the energy
     accumulator leaks with tau_acc. The equilibrium conductance is untouched.
     """
-    if t < state.t_last:
-        raise ValueError(
-            f"time reversal: t={t} is before state.t_last={state.t_last}")
-    dt = t - state.t_last
-    if dt == 0.0:
-        return state
-    return replace(
-        state,
-        delta_g=state.delta_g * math.exp(-dt / state.tau_d),
-        u=state.u * math.exp(-dt / params.tau_f_dev),
-        x=1.0 - (1.0 - state.x) * math.exp(-dt / params.tau_rec_dev),
-        acc=state.acc * math.exp(-dt / params.tau_acc),
-        t_last=t,
-    )
+    return DeviceState(*_relax(_values(state), params, t))
 
 
 def pulse_energy(g: float, v: float, w: float) -> float:
@@ -246,7 +267,8 @@ def apply_pulse(
     Sub-threshold pulses do not count as write events: they leave tau_d and
     t_last_pulse alone so that they cannot drive the rate law.
     """
-    return _pulse_update(decay_to(state, params, pulse.t), params, pulse)
+    s, jump = _pulse_step(_values(state), params, pulse.t, pulse.v, pulse.w)
+    return DeviceState(*s), jump
 
 
 def _select(mask, a, b):
@@ -256,27 +278,24 @@ def _select(mask, a, b):
     return a if mask else b
 
 
-def _pulse_update(
-    state: DeviceState, params: DeviceParams, pulse: Pulse
-) -> tuple[DeviceState, float]:
-    """The pulse kernel of ``apply_pulse``, on a state already relaxed to
-    ``pulse.t``.
+def _pulse_step(
+    s: tuple, params: DeviceParams, t: float, v: float, w: float
+) -> tuple[tuple, float]:
+    """The device kernel: ``apply_pulse`` on plain values.
 
-    Also steps a batch of devices that share their pulse history: then
-    g_eq, delta_g, acc and mode are arrays over the batch (mode an object
-    array of ``Mode``), and the mode, jump-cap and barrier branches act as
-    per-device masks. Every other field is shared by the batch.
+    Relaxes plain state ``s`` to ``t`` and applies a pulse of amplitude ``v``
+    and width ``w`` there; returns the new plain state and the volatile jump.
+    For a batch of devices that share their pulse history, g_eq, delta_g,
+    acc and mode are arrays over the batch (mode an object array of
+    ``Mode``), and the mode, jump-cap and barrier branches act as per-device
+    masks.
     """
-    g_eq, delta_g = state.g_eq, state.delta_g
-    u, x, tau_d, t_last_pulse = state.u, state.x, state.tau_d, state.t_last_pulse
-    amp = abs(pulse.v)
+    g_eq, u, x, delta_g, tau_d, acc, mode, _, t_last_pulse = _relax(s, params, t)
+    amp = abs(v)
     jump = 0.0
 
     if amp >= params.v_th:
-        if t_last_pulse is None:
-            dt_p = math.inf
-        else:
-            dt_p = pulse.t - t_last_pulse
+        dt_p = math.inf if t_last_pulse is None else t - t_last_pulse
         if dt_p <= 0.0:
             tau_d = params.tau_d_max
         else:
@@ -284,31 +303,35 @@ def _pulse_update(
         tau_d = min(max(tau_d, params.tau_d_min), params.tau_d_max)
 
         u = u + params.u_dev * (1.0 - u)
-        s = params.c_amp * (math.exp((amp - params.v_th) / params.v0) - 1.0)
+        try:
+            resp = params.c_amp * (math.exp((amp - params.v_th) / params.v0) - 1.0)
+        except OverflowError:
+            raise OverflowError(
+                f"amplitude response exp((|v| - v_th)/v0) overflows for a "
+                f"{v:g} V pulse with v_th={params.v_th:g} V and "
+                f"v0={params.v0:g} V") from None
         headroom = params.g_max - g_eq - delta_g
-        jump = headroom * s * u * x
+        jump = headroom * resp * u * x
         jump = _select(headroom < jump, headroom, jump)
         x = x * (1.0 - u)
         # A Saturating train only walks the equilibrium down toward g_floor.
-        g_eq = _select((state.mode == Mode.SATURATING) & (g_eq > params.g_floor),
+        g_eq = _select((mode == Mode.SATURATING) & (g_eq > params.g_floor),
                        g_eq - params.kappa_sat * (g_eq - params.g_floor), g_eq)
         delta_g = delta_g + jump
-        t_last_pulse = pulse.t
+        t_last_pulse = t
 
-    acc = state.acc + pulse_energy(g_eq + delta_g, pulse.v, pulse.w)
+    acc = acc + pulse_energy(g_eq + delta_g, v, w)
     crossed = acc >= energy_barrier(params, g_eq) * (1.0 - _BARRIER_REL_TOL)
     step = params.dg_nv
-    if params.polarity_sensitive and pulse.v > 0.0:
+    if params.polarity_sensitive and v > 0.0:
         step = -step
     # Clamp so the total conductance stays inside [g_min, g_max].
     stepped = g_eq + step
     stepped = _select(params.g_min > stepped, params.g_min, stepped)
     ceiling = params.g_max - delta_g
     stepped = _select(ceiling < stepped, ceiling, stepped)
-    return replace(
-        state, g_eq=_select(crossed, stepped, g_eq), u=u, x=x, delta_g=delta_g,
-        tau_d=tau_d, acc=_select(crossed, 0.0, acc), t_last_pulse=t_last_pulse,
-    ), jump
+    return (_select(crossed, stepped, g_eq), u, x, delta_g, tau_d,
+            _select(crossed, 0.0, acc), mode, t, t_last_pulse), jump
 
 
 def sample_mode(g0: float, params: DeviceParams, rng: np.random.Generator) -> Mode:
@@ -337,10 +360,17 @@ def resample_mode_for_train(
     A new train begins at the first pulse after a quiescent gap of at least
     t_rec_min (or at the very first pulse). Within a train the mode is held.
     """
-    if state.t_last_pulse is not None and t - state.t_last_pulse < params.t_rec_min:
+    if not _starts_train(state.t_last_pulse, params, t):
         return state
     g0 = conductance(state, t)
     return replace(state, mode=sample_mode(g0, params, rng))
+
+
+def _starts_train(t_last_pulse: Optional[float], params: DeviceParams,
+                  t: float) -> bool:
+    """Whether a pulse at ``t`` starts a new train: the first write pulse, or
+    the first after a quiescent gap of at least t_rec_min."""
+    return t_last_pulse is None or not t - t_last_pulse < params.t_rec_min
 
 
 def classify_event(g0: float, g_post: float) -> EventLabel:
@@ -367,10 +397,10 @@ def iv_sweep(
         raise ValueError("dt must be > 0")
     v = np.asarray(waveform, dtype=float)
     i_out = np.empty_like(v)
+    s = _values(state)
     t = state.t_last
-    for k in range(v.size):
-        vk = float(v[k])
-        state, _ = apply_pulse(state, params, Pulse(t=t, v=vk, w=dt))
-        i_out[k] = conductance(state) * vk
+    for k, vk in enumerate(v.tolist()):
+        s, _ = _pulse_step(s, params, t, vk, dt)
+        i_out[k] = (s[0] + s[3]) * vk  # G = g_eq + delta_g
         t += dt
-    return state, v, i_out
+    return DeviceState(*s), v, i_out

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import device as dev
 from . import neuron as nrn
-from .device import DeviceParams, EventLabel, Mode, Pulse
+from .device import DeviceParams, EventLabel, Mode
 from .protocols import PulseTrain
 from .trace import Trace
 
@@ -290,22 +290,21 @@ def _memristor_currents(
     pulse.
     """
     params = syn.params
-    state = replace(dev.initial_state(params), g_eq=g_eq0,
-                    delta_g=np.zeros(g_eq0.size), acc=np.zeros(g_eq0.size),
-                    mode=modes)
+    s = dev._values(replace(dev.initial_state(params), g_eq=g_eq0,
+                            delta_g=np.zeros(g_eq0.size),
+                            acc=np.zeros(g_eq0.size), mode=modes))
 
     # Piecewise segments: (start time, g_eq, delta_g, tau_d) after each pulse.
-    segments = [(grid[0] if grid.size else 0.0, state.g_eq, state.delta_g,
-                 state.tau_d)]
+    segments = [(grid[0] if grid.size else 0.0, s[0], s[3], s[4])]
     write_charges: dict[int, list[np.ndarray]] = {}
     for t, k in zip(pulse_times, _pulse_step_indices(pulse_times, dt, grid.size)):
-        state, _ = dev._pulse_update(dev.decay_to(state, params, t), params,
-                                     Pulse(t=t, v=train.v, w=train.w))
-        segments.append((t, state.g_eq, state.delta_g, state.tau_d))
+        s, _ = dev._pulse_step(s, params, t, train.v, train.w)
+        g_eq, _, _, delta_g, tau_d = s[:5]
+        segments.append((t, g_eq, delta_g, tau_d))
         if include_write_charge:
-            charge = dev.conductance(state) * abs(train.v) * train.w
+            charge = (g_eq + delta_g) * abs(train.v) * train.w
             write_charges.setdefault(k, []).append(charge / dt)
-    g_post = dev.conductance(state, pulse_times[-1] + g_post_delay)
+    g_post = dev._read(s, pulse_times[-1] + g_post_delay)
 
     # Sample k belongs to the latest segment whose start time <= grid[k].
     seg_starts, g_eqs, delta_gs, tau_ds = (np.array(c) for c in zip(*segments))

@@ -120,6 +120,22 @@ class BinStats:
     overflow: int
 
 
+def _fold_train(s: tuple, params: DeviceParams, train: PulseTrain,
+                t0: float) -> list[tuple]:
+    """Fold the device kernel over one train from plain state ``s``; returns
+    the plain state after each pulse."""
+    states = []
+    for t in train.pulse_times(t0):
+        s, _ = dev._pulse_step(s, params, t, train.v, train.w)
+        states.append(s)
+    return states
+
+
+def _peaks(states: list[tuple]) -> list[float]:
+    """Conductance g_eq + delta_g right after each pulse."""
+    return [s[0] + s[3] for s in states]
+
+
 def apply_train(
     state: DeviceState,
     params: DeviceParams,
@@ -127,11 +143,8 @@ def apply_train(
     t0: float,
 ) -> tuple[DeviceState, list[float]]:
     """Apply one pulse train; returns the state and per-pulse conductance peaks."""
-    peaks: list[float] = []
-    for t in train.pulse_times(t0):
-        state, _ = dev.apply_pulse(state, params, Pulse(t=t, v=train.v, w=train.w))
-        peaks.append(dev.conductance(state))
-    return state, peaks
+    states = _fold_train(dev._values(state), params, train, t0)
+    return DeviceState(*states[-1]), _peaks(states)
 
 
 def train_trace(
@@ -151,15 +164,12 @@ def train_trace(
     if sample_dt <= 0.0:
         raise ValueError("sample_dt must be > 0")
     times = np.arange(t0, t0 + train.duration + tail, sample_dt)
-    pulses = train.pulse_times(t0)
-    states = [state]
-    for t in pulses:
-        state, _ = dev.apply_pulse(state, params, Pulse(t=t, v=train.v, w=train.w))
-        states.append(state)
+    s = dev._values(state)
+    states = [s] + _fold_train(s, params, train, t0)
     # states[k] holds from pulse k-1 (inclusive) until pulse k.
-    pieces = np.split(times, np.searchsorted(times, pulses))
-    values = np.concatenate([dev.conductance(s, ts) for s, ts in zip(states, pieces)])
-    return state, Trace(times, values, kind="conductance")
+    pieces = np.split(times, np.searchsorted(times, train.pulse_times(t0)))
+    values = np.concatenate([dev._read(s, ts) for s, ts in zip(states, pieces)])
+    return DeviceState(*states[-1]), Trace(times, values, kind="conductance")
 
 
 def run_protocol(
@@ -176,19 +186,24 @@ def run_protocol(
     after the last pulse; reads never change the state.
     """
     records: list[EventRecord] = []
+    s = dev._values(state)
     t = state.t_last
     for k in range(plan.repeats):
-        g0 = dev.conductance(state, t)
-        state = dev.resample_mode_for_train(state, params, t, rng)
-        g_eq_before = state.g_eq
-        state, peaks = apply_train(state, params, plan.train, t)
-        g_post = dev.conductance(state, state.t_last + plan.g_post_delay)
-        label = dev.classify_event(g0, g_post)
+        g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse = s
+        g0 = dev._read(s, t)
+        if dev._starts_train(t_last_pulse, params, t):
+            mode = dev.sample_mode(g0, params, rng)
+            s = (g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse)
+        states = _fold_train(s, params, plan.train, t)
+        s = states[-1]
+        t_end = s[7]  # t_last: the last pulse
+        g_post = dev._read(s, t_end + plan.g_post_delay)
         records.append(EventRecord(
-            index=k, g0=g0, g_post=g_post, peaks=tuple(peaks), label=label,
-            mode=state.mode, g_eq_before=g_eq_before, g_eq_after=state.g_eq))
-        t = state.t_last + plan.train.w + plan.t_rec
-    return records, state
+            index=k, g0=g0, g_post=g_post, peaks=tuple(_peaks(states)),
+            label=dev.classify_event(g0, g_post), mode=mode,
+            g_eq_before=g_eq, g_eq_after=s[0]))
+        t = t_end + plan.train.w + plan.t_rec
+    return records, DeviceState(*s)
 
 
 def bin_statistics(records: Sequence[EventRecord], bins: BinSpec) -> BinStats:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,6 +169,40 @@ def test_arithmetic_overflow_is_runtime_error(tmp_path, capsys, preset):
     assert "runtime error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("preset", ["fig2_stp", "iv_sweep", "fig3b_amplitude"])
+def test_amplitude_overflow_message_names_its_parameters(tmp_path, capsys,
+                                                         preset):
+    rc, _ = _simulate_device_override(tmp_path, preset, {"v0": 0.001})
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "v0=0.001" in err and "v_th=" in err and " V pulse" in err
+
+
+def test_refused_runs_leave_no_output_directory(tmp_path):
+    rc, out = _simulate_device_override(tmp_path, "fig2_stp", {"v0": 0})
+    assert rc == cli.EXIT_CONFIG
+    assert not out.exists()
+    (tmp_path / "in.csv").write_text("time_s,peak\n0.0,0.2\n0.05,0.25\n")
+    rc = main(["fit", "tm", "--input", str(tmp_path / "in.csv"),
+               "--out", str(tmp_path / "fitout")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "fitout").exists()
+
+
+def test_output_path_that_is_a_file_is_runtime_error(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "fig3b_amplitude"}))
+    header, rows, extra = _FIT_INPUTS["decay"]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    for argv in (["simulate", "--config", str(cfg)],
+                 ["fit", "decay", "--input", str(tmp_path / "in.csv"), *extra]):
+        assert main([*argv, "--out", str(blocker)]) == cli.EXIT_RUNTIME
+        assert "cannot write CSV" in capsys.readouterr().err
+
+
 def test_fig3b_simulate_writes_manifest_and_csv(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -252,6 +287,66 @@ def test_detect_matches_golden_csvs(tmp_path, topology):
                  "--trials", "200", "--seed", "31337", "--out", str(out)]) == 0
     for name in ("trials_ab.csv", "trials_ba.csv"):
         assert (out / name).read_bytes() == (GOLDEN / topology / name).read_bytes()
+
+
+DEVICE_PRESETS = ["fig2_stp", "fig2f_drift", "fig3a_decay", "fig3b_amplitude",
+                  "iv_sweep"]
+
+
+@pytest.mark.parametrize("preset", DEVICE_PRESETS)
+def test_device_presets_match_golden_csvs(tmp_path, preset):
+    # Goldens written by `memstp simulate` with {"preset": <preset>,
+    # "seed": 7} before the device loops moved onto the plain-value kernel.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": preset, "seed": 7}))
+    out = tmp_path / preset
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    golden = sorted(p.name for p in (GOLDEN / "device" / preset).glob("*.csv"))
+    assert sorted(p.name for p in out.glob("*.csv")) == golden
+    for name in golden:
+        assert (out / name).read_bytes() == \
+            (GOLDEN / "device" / preset / name).read_bytes()
+
+
+# Values whose '%.9g' and f"{x:.9g}" spellings could plausibly part ways.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-310, math.inf, -math.inf, math.nan, 1e16, -1e16, 1e15,
+                123456789.5, 0.1, 1.0, -1.0, 3.01408441e-06]
+
+
+def _edge_values():
+    rng = np.random.default_rng(11)
+    random = rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)
+    return _EDGE_FLOATS + random.tolist()
+
+
+def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path):
+    vals = _edge_values()
+    times = np.arange(len(vals)) * 1e-3
+    emit_csv(Trace(times, vals, kind="current"), tmp_path / "t.csv")
+    want = ["time_s,current_A"] + [
+        f"{cli._fmt(float(t))},{cli._fmt(v)}" for t, v in zip(times, vals)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+    back = vals[::-1]
+    emit_csv((Trace(times, vals, kind="voltage"), Trace(times, back, kind="current")),
+             tmp_path / "p.csv")
+    want = ["time_s,voltage_V,current_A"] + [
+        f"{cli._fmt(float(t))},{cli._fmt(a)},{cli._fmt(b)}"
+        for t, a, b in zip(times, vals, back)]
+    assert (tmp_path / "p.csv").read_text() == "\n".join(want) + "\n"
+
+    # Event fields keep their type: plain floats and numpy float64 alike.
+    records = [EventRecord(index=k, g0=cast(a), g_post=cast(b),
+                           peaks=(cast(b), a, cast(a)), label=EventLabel.STP_S,
+                           mode=Mode.SATURATING, g_eq_before=a, g_eq_after=b)
+               for k, (a, b) in enumerate(zip(vals, back))
+               for cast in (float, np.float64)]
+    emit_csv(records, tmp_path / "e.csv")
+    want = ["index,g0_S,g_post_S,label,peak_1,peak_2,peak_3"] + [
+        f"{r.index},{cli._fmt(r.g0)},{cli._fmt(r.g_post)},stp_s,"
+        + ",".join(cli._fmt(p) for p in r.peaks) for r in records]
+    assert (tmp_path / "e.csv").read_text() == "\n".join(want) + "\n"
 
 
 def _simulate_network_override(tmp_path, preset, patch, trials=2):

@@ -403,8 +403,9 @@ def test_pulse_kernel_batch_rows_match_scalar_devices():
                for r in range(m)]
     crossed = np.zeros(m, dtype=int)
     for pulse in random_pulses(rng, 40):
-        batch, jumps = dev._pulse_update(dev.decay_to(batch, params, pulse.t),
-                                         params, pulse)
+        s, jumps = dev._pulse_step(dev._values(batch), params, pulse.t, pulse.v,
+                                   pulse.w)
+        batch = dev.DeviceState(*s)
         crossed += (batch.acc == 0.0) & (pulse.v != 0.0)
         for r in range(m):
             singles[r], jump = dev.apply_pulse(singles[r], params, pulse)
@@ -413,6 +414,56 @@ def test_pulse_kernel_batch_rows_match_scalar_devices():
                 acc=batch.acc[r], mode=modes[r])
             assert jump == (jumps if np.isscalar(jumps) else jumps[r])
     assert 0 < crossed.min() < crossed.max()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pulse_kernel_fold_matches_apply_pulse_fold(seed):
+    # Mixed polarities, sub-threshold pulses, Saturating trains and a finite
+    # barrier that the drive crosses: the plain-value fold of the loops and
+    # the public apply_pulse fold must agree exactly, pulse by pulse.
+    params = DeviceParams(e0=0.3e-9, dg_nv=0.1e-6, tau_acc=2.0,
+                          g_floor=2.7e-6, polarity_sensitive=seed % 2 == 1)
+    rng = np.random.default_rng(seed)
+    state = dev.initial_state(params)
+    s = dev._values(state)
+    counts = {"fold": [0, 0], "public": [0, 0]}  # writes, barrier crossings
+    for pulse in random_pulses(rng, 80):
+        if rng.random() < 0.15:
+            mode = Mode.SATURATING if rng.random() < 0.5 else Mode.FACILITATING
+            state = dataclasses.replace(state, mode=mode)
+            s = s[:6] + (mode,) + s[7:]  # the mode field
+        s, jump = dev._pulse_step(s, params, pulse.t, pulse.v, pulse.w)
+        state, jump_ref = dev.apply_pulse(state, params, pulse)
+        assert dev.DeviceState(*s) == state and jump == jump_ref
+        # s[5] is acc and s[8] is t_last_pulse.
+        for key, acc, t_last_pulse in (("fold", s[5], s[8]),
+                                       ("public", state.acc, state.t_last_pulse)):
+            counts[key][0] += abs(pulse.v) >= params.v_th and t_last_pulse == pulse.t
+            counts[key][1] += acc == 0.0 and pulse.v != 0.0
+    assert counts["fold"] == counts["public"]
+    assert min(counts["fold"]) > 0
+
+
+def test_pulse_kernel_names_amplitude_overflow():
+    params = DeviceParams(v0=0.001)
+    state = dev.initial_state(params)
+    with pytest.raises(OverflowError, match=r"-4 V pulse.*v_th=1 V.*v0=0.001 V"):
+        dev.apply_pulse(state, params, Pulse(t=0.0, v=-4.0, w=1e-5))
+
+
+def test_iv_sweep_matches_apply_pulse_fold():
+    params = DeviceParams(e0=0.5e-9, polarity_sensitive=True)
+    waveform = 2.5 * np.sin(np.linspace(0.0, 4.0 * np.pi, 300))
+    dt = 1e-4
+    final, v, i = dev.iv_sweep(dev.initial_state(params), params, waveform, dt)
+    state = dev.initial_state(params)
+    t = state.t_last
+    for k, vk in enumerate(waveform.tolist()):
+        state, _ = dev.apply_pulse(state, params, Pulse(t=t, v=vk, w=dt))
+        assert i[k] == dev.conductance(state) * vk
+        t += dt
+    assert final == state
+    assert np.array_equal(v, waveform)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,50 @@ def test_run_protocol_returns_state_after_last_pulse(params):
         state, state.t_last + plan.g_post_delay)
 
 
+def reference_run_protocol(state, params, plan, rng):
+    """run_protocol built from the public device functions alone."""
+    records = []
+    t = state.t_last
+    for k in range(plan.repeats):
+        g0 = dev.conductance(state, t)
+        state = dev.resample_mode_for_train(state, params, t, rng)
+        g_eq_before = state.g_eq
+        peaks = []
+        for tp in plan.train.pulse_times(t):
+            state, _ = dev.apply_pulse(
+                state, params, dev.Pulse(t=tp, v=plan.train.v, w=plan.train.w))
+            peaks.append(dev.conductance(state))
+        g_post = dev.conductance(state, state.t_last + plan.g_post_delay)
+        records.append(pr.EventRecord(
+            index=k, g0=g0, g_post=g_post, peaks=tuple(peaks),
+            label=dev.classify_event(g0, g_post), mode=state.mode,
+            g_eq_before=g_eq_before, g_eq_after=state.g_eq))
+        t = state.t_last + plan.train.w + plan.t_rec
+    return records, state
+
+
+@pytest.mark.parametrize("device,plan", [
+    ({}, {}),
+    # barrier crossings, and trains closer than t_rec_min that keep the mode
+    ({"e0": 0.2e-9, "dg_nv": 0.1e-6, "polarity_sensitive": True, "tau_acc": 2.0},
+     {"train": pr.PulseTrain(n=4, v=3.0, w=1e-5, t_int=0.05), "t_rec": 0.5}),
+    ({"g_c": 2.95e-6, "g_floor": 2.7e-6},
+     {"train": pr.PulseTrain(n=2, v=-4.0, w=2e-5, t_int=0.3), "t_rec": 1.0}),
+])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_protocol_matches_public_function_loop(device, plan, seed):
+    params = DeviceParams(**device)
+    plan = make_plan(repeats=60, **plan)
+    got = pr.run_protocol(dev.initial_state(params), params, plan,
+                          np.random.default_rng(seed))
+    want = reference_run_protocol(dev.initial_state(params), params, plan,
+                                  np.random.default_rng(seed))
+    assert got == want
+    # Trains that follow within t_rec_min keep the first train's mode.
+    held = plan.t_rec + plan.train.w < params.t_rec_min
+    assert len({r.mode for r in got[0]}) == (1 if held else 2)
+
+
 # ---------------------------------------------------------------------------
 # bin_statistics
 # ---------------------------------------------------------------------------
