@@ -56,7 +56,6 @@ class RunConfig:
     overrides: dict[str, dict[str, Any]] = field(default_factory=dict)
     out_dir: str = "out"
     trials: int = 1000
-    threads: int = 1
 
 
 _TOP_KEYS = {"preset", "seed", "overrides", "out_dir", "trials", "threads"}
@@ -149,8 +148,8 @@ def parse_config(text: str) -> RunConfig:
 
     trials = doc.get("trials", 1000)
     _check_count(trials, "field 'trials'")
-    threads = doc.get("threads", 1)
-    _check_count(threads, "field 'threads'")
+    # threads is accepted but ignored, so it is not a run parameter.
+    _check_count(doc.get("threads", 1), "field 'threads'")
 
     overrides = doc.get("overrides", {})
     _expect(isinstance(overrides, dict), "field 'overrides' must be an object")
@@ -172,7 +171,7 @@ def parse_config(text: str) -> RunConfig:
                     f"unknown key '{section}.{key}' (allowed: {sorted(allowed)})")
             _check_override(f"{section}.{key}", value, hints[key])
     return RunConfig(preset=preset, seed=seed, overrides=overrides,
-                     out_dir=out_dir, trials=trials, threads=threads)
+                     out_dir=out_dir, trials=trials)
 
 
 def _patched(instance, section: str, overrides: dict) -> Any:
@@ -257,8 +256,6 @@ def _jsonable(value: Any) -> Any:
 
 
 def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
-    # threads is accepted but ignored, so it is not a run parameter: runs
-    # with identical manifests are byte-identical whatever it says.
     manifest = {
         "tool": "memstp",
         "version": __version__,
@@ -316,11 +313,14 @@ def _run_decay_preset(config: RunConfig, out: Path) -> dict:
     t_ints = [0.02, 0.05, 0.1, 0.15, 0.2]
     rng = np.random.default_rng(config.seed)
     results = protocols.decay_sweep(params, t_ints, rng)
+    for t, r in results:
+        if not r.converged:
+            raise RuntimeError(f"decay fit at t_int={t * 1e3:g} ms did not "
+                               f"converge: {r.message}")
     pairs = [(t, r.params["tau_d"]) for t, r in results]
     emit_csv(pairs, out / "decay_vs_interval.csv")
-    for t, r in results:
-        status = "ok" if r.converged else f"failed ({r.message})"
-        print(f"t_int={t * 1e3:.0f} ms -> tau_d={r.params['tau_d']:.4g} s [{status}]")
+    for t, tau_d in pairs:
+        print(f"t_int={t * 1e3:.0f} ms -> tau_d={tau_d:.4g} s")
     return {"device": _jsonable(params), "t_ints": t_ints}
 
 
@@ -448,7 +448,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config.out_dir = args.out
     if args.threads is not None:
         _check_count(args.threads, "--threads")
-        config.threads = args.threads
     return run_config(config)
 
 
@@ -498,8 +497,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     _check_count(args.trials, "--trials")
     _check_count(args.threads, "--threads")
     config = RunConfig(preset=_TOPOLOGY_CHOICES[args.topology], seed=args.seed,
-                       out_dir=args.out, trials=args.trials,
-                       threads=args.threads)
+                       out_dir=args.out, trials=args.trials)
     out = Path(config.out_dir)
     resolved = _run_detector_preset(config, out, _PATTERN_CHOICES[args.pattern])
     write_manifest(out, config, resolved)
@@ -579,7 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

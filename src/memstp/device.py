@@ -45,6 +45,7 @@ __all__ = [
     "pulse_energy",
     "energy_barrier",
     "apply_pulse",
+    "p_saturating",
     "sample_mode",
     "resample_mode_for_train",
     "classify_event",
@@ -86,7 +87,8 @@ class DeviceParams:
             equilibrium at or below it is left alone.
         g_c, sigma_s: midpoint and width of the logistic Saturating-mode
             probability p_S(g0).
-        e0, beta: barrier law E_i = e0 * (1 + beta*(g_eq-g_min)/(g_max-g_min)).
+        e0, beta: barrier law E_i = e0 * (1 + beta*(g_eq-g_min)/(g_max-g_min)),
+            e0 > 0 (inf = no non-volatile step), beta >= 0.
         tau_acc: leak time constant of the energy accumulator (inf = no leak).
         dg_nv: equilibrium step taken when the barrier is crossed.
         t_rec_min: quiescent gap after which the next pulse starts a new
@@ -126,10 +128,10 @@ class DeviceParams:
             if not (0.0 < self.g_min <= getattr(self, name) <= self.g_max):
                 raise ValueError(f"require 0 < g_min <= {name} <= g_max")
         for name in ("v0", "tau_f_dev", "tau_rec_dev", "tau_d_base",
-                     "tau_d_min", "tau_d_max", "tau_acc", "dt_ref"):
+                     "tau_d_min", "tau_d_max", "tau_acc", "dt_ref", "e0"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("c_amp", "gamma"):
+        for name in ("c_amp", "gamma", "beta"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.u_dev <= 1.0):
@@ -334,19 +336,21 @@ def _pulse_step(
             _select(crossed, 0.0, acc), mode, t, t_last_pulse), jump
 
 
-def sample_mode(g0: float, params: DeviceParams, rng: np.random.Generator) -> Mode:
-    """Draw the event mode for a train starting at conductance ``g0``.
-
-    Saturating with probability p_S = logistic((g0 - g_c)/sigma_s): high
-    initial conductance makes saturating events more likely.
-    """
+def p_saturating(g0, params: DeviceParams):
+    """Probability p_S = logistic((g0 - g_c)/sigma_s) that a train starting at
+    conductance ``g0`` (a float or an array) is Saturating: high initial
+    conductance makes saturating events more likely."""
     z = (g0 - params.g_c) / params.sigma_s
-    if z >= 0.0:
-        p_s = 1.0 / (1.0 + math.exp(-z))
-    else:
-        e = math.exp(z)
-        p_s = e / (1.0 + e)
-    return Mode.SATURATING if rng.random() < p_s else Mode.FACILITATING
+    # exp(min(z, 0)) / (1 + exp(-|z|)): the logistic with no exp overflow.
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
+def sample_mode(g0: float, params: DeviceParams, rng: np.random.Generator) -> Mode:
+    """Draw the event mode for a train starting at conductance ``g0``:
+    Saturating with probability ``p_saturating(g0, params)``."""
+    if rng.random() < p_saturating(g0, params):
+        return Mode.SATURATING
+    return Mode.FACILITATING
 
 
 def resample_mode_for_train(

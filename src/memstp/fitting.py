@@ -121,7 +121,10 @@ def fit_decay(
                          sse=0.0, iterations=0, converged=False,
                          message="fewer than 3 samples above baseline")
     t_u, ln_r = t[usable], np.log(resid[usable])
-    slope, intercept = np.polyfit(t_u, ln_r, 1)
+    # Regress on t / max|t| so the regression never squares a huge time.
+    t_scale = float(np.max(np.abs(t_u))) or 1.0
+    slope, intercept = np.polyfit(t_u / t_scale, ln_r, 1)
+    slope /= t_scale
     if slope >= 0.0:
         return FitResult(params={"tau_d": math.nan, "amplitude": math.nan},
                          sse=0.0, iterations=0, converged=False,

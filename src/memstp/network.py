@@ -11,6 +11,11 @@ read bias, and resistor values are chosen so that the BA order spikes on
 facilitating trials, saturating trials miss (false negatives), and high
 initial-conductance facilitating trials fire on the AB order (false
 positives).
+
+A batch of trials draws one ``rng.random((trials, k))`` block: row i holds
+trial i's draws, per memristive synapse the g0 jitter draw, then the mode
+draw. ``monte_carlo`` seeds it with ``default_rng(seed)``, so the first N
+trials of a longer run equal an N-trial run.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +44,6 @@ __all__ = [
     "build_detector",
     "run_trial",
     "monte_carlo",
-    "derive_rng",
     "OPERATING_POINT",
 ]
 
@@ -73,7 +77,6 @@ class StaticSynapse:
     """Fixed resistor: injects v/R only while one of its pulses is on."""
 
     resistance: float
-    read_v: float = 0.0
 
     def __post_init__(self) -> None:
         if self.resistance <= 0.0:
@@ -237,34 +240,33 @@ def _initial_draws(
     network: Network,
     mem_params: Sequence[DeviceParams],
     trials: int,
-    rng_for: Optional[Callable[[int], np.random.Generator]],
+    rng: Optional[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial conductance and mode of every memristive synapse, per trial.
 
-    Returns (g_eq0, mode) arrays of shape (synapses, trials). Trial i draws
-    from ``rng_for(i)``, synapse by synapse: the jitter draw, then the mode
-    draw. The generator is only created for a trial that makes a draw, and
-    ``rng_for=None`` makes none.
+    Returns (g_eq0, mode) arrays of shape (synapses, trials). The draws come
+    from one ``rng.random((trials, k))`` block whose row i is trial i's:
+    synapse by synapse, the jitter draw, then the mode draw. ``rng=None``
+    makes none: every synapse starts at its g_eq0, Facilitating unless the
+    network forces a mode.
     """
+    jitter = rng is not None and network.g0_jitter > 0.0
+    draw_mode = rng is not None and network.force_mode is None
+    per_synapse = jitter + draw_mode
+    columns = iter(rng.random((trials, len(mem_params) * per_synapse)).T
+                   if per_synapse else ())
     g_eq0 = np.empty((len(mem_params), trials))
-    modes = np.empty((len(mem_params), trials), dtype=object)
-    jitter = rng_for is not None and network.g0_jitter > 0.0
-    draw_mode = rng_for is not None and network.force_mode is None
-    for trial in range(trials):
-        rng = rng_for(trial) if (jitter or draw_mode) and mem_params else None
-        for row, params in enumerate(mem_params):
-            g = params.g_eq0
-            if jitter:
-                g = params.g_eq0 + network.g0_jitter * (2.0 * rng.random() - 1.0)
-                g = min(max(g, params.g_min), params.g_max)
-            if network.force_mode is not None:
-                mode = network.force_mode
-            elif draw_mode:
-                mode = dev.sample_mode(g, params, rng)
-            else:
-                mode = Mode.FACILITATING
-            g_eq0[row, trial] = g
-            modes[row, trial] = mode
+    modes = np.full((len(mem_params), trials),
+                    network.force_mode or Mode.FACILITATING, dtype=object)
+    for row, params in enumerate(mem_params):
+        g = params.g_eq0
+        if jitter:
+            g = np.clip(g + network.g0_jitter * (2.0 * next(columns) - 1.0),
+                        params.g_min, params.g_max)
+        if draw_mode:
+            saturating = next(columns) < dev.p_saturating(g, params)
+            modes[row, saturating] = Mode.SATURATING
+        g_eq0[row] = g
     return g_eq0, modes
 
 
@@ -332,7 +334,7 @@ def _static_currents(
     grid: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    current = np.full(grid.size, syn.g * syn.read_v)
+    current = np.zeros(grid.size)
     for k in _pulse_step_indices(pulse_times, dt, grid.size):
         current[k] += syn.g * abs(train.v) * train.w / dt
     return current
@@ -363,8 +365,7 @@ def _simulate(
     network: Network,
     pattern: PatternSpec,
     trials: int,
-    rng_for: Optional[Callable[[int], np.random.Generator]],
-    dt: float,
+    rng: Optional[np.random.Generator],
     record_traces: bool,
 ) -> list[TrialRecord]:
     """Simulate trials 0..trials-1 on fresh networks, all as one batch.
@@ -372,30 +373,29 @@ def _simulate(
     Static and RC synapse currents are the same in every trial and are
     computed once; memristive currents are built one time step at a time and
     fed straight to the membranes, so without ``record_traces`` memory grows
-    with the trials, not with trials x steps. Trial i's draws come from
-    ``rng_for(i)`` (see _initial_draws).
+    with the trials, not with trials x steps. Row i of one ``rng`` draw
+    block holds trial i's draws; ``rng=None`` draws nothing (see
+    _initial_draws).
     """
+    dt = network.dt
     train = pattern.train
-    t_a = network.lead
+    t_first = network.lead
     if network.topology == "coincidence_detector":
-        t_first, t_second = t_a, t_a + pattern.gap
+        t_second = t_first + pattern.gap
     else:
-        t_second = t_a + train.duration + pattern.gap
-        t_first = t_a
+        t_second = t_first + train.duration + pattern.gap
     t_end = max(t_first, t_second) + train.duration + network.tail
     n = int(math.ceil(t_end / dt))
     grid = dt * np.arange(n)
 
-    if network.topology == "coincidence_detector":
-        starts = [t_first, t_second]
-    elif pattern.order is PatternOrder.AB:
-        starts = [t_first, t_second]   # static first, dynamic second
-    else:
-        starts = [t_second, t_first]   # dynamic first, static second
+    starts = [t_first, t_second]  # per synapse: static first, dynamic second
+    if (network.topology != "coincidence_detector"
+            and pattern.order is PatternOrder.BA):
+        starts.reverse()
 
     mem_params = [s.params for s in network.synapses
                   if isinstance(s, MemristiveSynapse)]
-    g_eq0, modes = _initial_draws(network, mem_params, trials, rng_for)
+    g_eq0, modes = _initial_draws(network, mem_params, trials, rng)
     draws = iter(zip(g_eq0, modes))
     g_trace = np.empty((trials, n)) if record_traces and mem_params else None
     sources = []  # per synapse: its current at each step
@@ -449,27 +449,17 @@ def run_trial(
     network: Network,
     pattern: PatternSpec,
     rng: Optional[np.random.Generator] = None,
-    dt: Optional[float] = None,
     record_traces: bool = True,
 ) -> TrialRecord:
-    """Simulate one pattern presentation on a fresh network.
+    """Simulate one pattern presentation on a fresh network, on its ``dt``.
 
     The membrane starts from its standing-bias steady state; ``spiked`` is
-    true if any spike is emitted during the trial. Without ``rng`` the
-    memristive synapses start unjittered in Facilitating mode (unless the
-    network forces a mode).
+    true if any spike is emitted during the trial. The trial takes the next
+    draws of ``rng``, in the order of one row of a Monte-Carlo draw block.
+    Without ``rng`` the memristive synapses start unjittered in Facilitating
+    mode (unless the network forces a mode).
     """
-    rng_for = None if rng is None else (lambda _: rng)
-    return _simulate(network, pattern, 1, rng_for,
-                     network.dt if dt is None else dt, record_traces)[0]
-
-
-def derive_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trial stream: SeedSequence(seed, spawn_key=(index,)).
-
-    Independent of execution order and batching.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    return _simulate(network, pattern, 1, rng, record_traces)[0]
 
 
 def monte_carlo(
@@ -477,18 +467,17 @@ def monte_carlo(
     pattern: PatternSpec,
     trials: int,
     seed: int,
-    threads: int = 1,
     record_traces: bool = False,
 ) -> tuple[float, list[TrialRecord]]:
     """Independent seeded trials; returns (spike fraction, per-trial records).
 
-    Trial i draws from ``derive_rng(seed, i)``. ``threads`` is ignored: the
-    trials run batched in this process, and results never depended on it.
+    All trials run as one batch. Trial i draws from row i of one
+    ``default_rng(seed).random((trials, k))`` block, so it depends only on
+    ``seed`` and i: the first N records of a longer run equal an N-trial run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     records = _simulate(network, pattern, trials,
-                        lambda i: derive_rng(seed, i), network.dt,
-                        record_traces)
+                        np.random.default_rng(seed), record_traces)
     p_spike = sum(r.spiked for r in records) / trials
     return p_spike, records

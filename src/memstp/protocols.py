@@ -45,6 +45,8 @@ class PulseTrain:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.w <= 0.0:
+            raise ValueError("pulse width w must be > 0")
         if self.t_int <= self.w:
             raise ValueError("t_int must exceed the pulse width")
 

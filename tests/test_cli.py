@@ -151,13 +151,27 @@ def _simulate_device_override(tmp_path, preset, patch):
 
 @pytest.mark.parametrize("patch", [
     {"v0": 0}, {"gamma": -50}, {"g_floor": 1e-6}, {"g_floor": 4e-6},
-    {"c_amp": -2.0},
+    {"c_amp": -2.0}, {"e0": -1}, {"e0": 0}, {"beta": -10},
 ])
 def test_device_override_out_of_range_rejected(tmp_path, capsys, patch):
     rc, out = _simulate_device_override(tmp_path, "fig2_stp", patch)
     assert rc == cli.EXIT_CONFIG
     assert next(iter(patch)) in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("preset", ["fig2_stp", "fig4_sequence", "fig4_control"])
+@pytest.mark.parametrize("w", [0, -1])
+def test_non_positive_pulse_width_rejected(tmp_path, capsys, preset, w):
+    # A zero-volt train reaches no device check; a negative width used to
+    # index the synapse currents with negative steps.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": preset, "trials": 1,
+                               "overrides": {"train": {"v": 0, "w": w}}}))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "pulse width w must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("preset", ["fig2_stp", "iv_sweep", "fig3b_amplitude"])
@@ -176,6 +190,31 @@ def test_amplitude_overflow_message_names_its_parameters(tmp_path, capsys,
     assert rc == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "v0=0.001" in err and "v_th=" in err and " V pulse" in err
+
+
+def test_unconverged_decay_fit_is_runtime_error(tmp_path, capsys):
+    # A 100 V threshold leaves the 4 V pulses sub-threshold: no volatile
+    # offset to fit, so no tau_d row may be written.
+    rc, out = _simulate_device_override(tmp_path, "fig3a_decay",
+                                        {"v_th": 100.0})
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "t_int=20 ms" in err and "fewer than 3 samples above baseline" in err
+    assert not out.exists()
+
+
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "_run_detector_preset", exhausted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "fig4_sequence", "trials": 2}))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime error: Unable to allocate 7.45 GiB" in err
+    assert "Traceback" not in err
 
 
 def test_refused_runs_leave_no_output_directory(tmp_path):
@@ -279,9 +318,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("topology", ["sequence", "control", "coincidence"])
 def test_detect_matches_golden_csvs(tmp_path, topology):
-    # Goldens written by `memstp detect --pattern both --trials 200
-    # --seed 31337` before trials were batched: output must stay
-    # byte-identical for a fixed seed.
+    # Goldens written by `memstp detect --topology <topology> --pattern both
+    # --trials 200 --seed 31337`: output must stay byte-identical for a
+    # fixed seed. The control and coincidence goldens predate batched
+    # trials (they make no random draws); the sequence goldens were re-cut
+    # in 0.2.0, when trial i started drawing from row i of one seeded
+    # draw block.
     out = tmp_path / topology
     assert main(["detect", "--topology", topology, "--pattern", "both",
                  "--trials", "200", "--seed", "31337", "--out", str(out)]) == 0

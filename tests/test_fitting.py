@@ -20,6 +20,16 @@ def test_fit_decay_noiseless_exact():
     assert res.params["amplitude"] == pytest.approx(0.2e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("tau", [1e-300, 1e300])
+def test_fit_decay_any_time_scale(tau):
+    # Squaring times near 1e300 overflows; the fit must not.
+    t = np.linspace(0.0, 4.0 * tau, 200)
+    g = 2.9e-6 + 0.2e-6 * np.exp(-t / tau)
+    res = fitting.fit_decay(t, g, 2.9e-6)
+    assert res.converged
+    assert res.params["tau_d"] == pytest.approx(tau, rel=1e-6)
+
+
 def test_fit_decay_constant_trace_fails():
     t = np.arange(0, 0.5, 1e-3)
     res = fitting.fit_decay(t, np.full(t.size, 2.9e-6), 2.9e-6)

@@ -5,6 +5,8 @@ one-trial-at-a-time implementation that ``network.monte_carlo`` used before
 trials were batched, kept here unchanged as the oracle. The batch must give
 identical ``TrialRecord``s, traces included, for every topology and for the
 off-operating-point settings that reach its per-trial mask branches.
+``reference_monte_carlo`` feeds one seeded generator to the reference trials
+in trial order, which is the draw order of the batch's draw block.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ def reference_run_trial(
 
 
 def reference_monte_carlo(network, pattern, trials, seed):
-    return [reference_run_trial(network, pattern, rng=net.derive_rng(seed, i))
-            for i in range(trials)]
+    rng = np.random.default_rng(seed)
+    return [reference_run_trial(network, pattern, rng=rng)
+            for _ in range(trials)]
 
 
 def assert_same_trace(a: Optional[Trace], b: Optional[Trace]) -> None:
@@ -237,6 +240,18 @@ def test_batched_monte_carlo_matches_per_trial_reference(case, order):
     assert p_spike == sum(w.spiked for w in want) / trials
 
 
+@pytest.mark.parametrize("case", ["sequence", "coincidence_drawn"])
+def test_monte_carlo_prefix_independent_of_trial_count(case):
+    # Trial i reads row i of one seeded draw block, so a shorter run is the
+    # prefix of a longer one.
+    network = CASES[case]()
+    pattern = PatternSpec(order=PatternOrder.BA)
+    _, short = net.monte_carlo(network, pattern, 40, seed=11)
+    _, long = net.monte_carlo(network, pattern, 100, seed=11)
+    for g, w in zip(short, long[:40]):
+        assert_same_record(g, w)
+
+
 @pytest.mark.parametrize("v", [0.0, 0.5, -4.0])
 def test_run_trial_matches_reference_without_rng(v):
     network = build_detector("sequence_detector")
@@ -248,8 +263,8 @@ def test_run_trial_matches_reference_without_rng(v):
 def test_run_trial_matches_reference_with_rng_and_dt():
     network = build_detector("sequence_detector")
     pattern = PatternSpec()
-    got = net.run_trial(network, pattern, rng=np.random.default_rng(4),
-                        dt=5e-4, record_traces=False)
+    got = net.run_trial(replace(network, dt=5e-4), pattern,
+                        rng=np.random.default_rng(4), record_traces=False)
     want = reference_run_trial(network, pattern, rng=np.random.default_rng(4),
                                dt=5e-4, record_traces=False)
     assert_same_record(got, want)
@@ -261,8 +276,8 @@ def test_barrier_case_crosses_at_different_pulses():
     network = CASES["barrier"]()
     syn = network.synapses[1]
     crossed = []
-    for i in range(40):
-        rng = net.derive_rng(11, i)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
         g = syn.params.g_eq0 + network.g0_jitter * (2.0 * rng.random() - 1.0)
         params = replace(syn.params, g_eq0=g)
         state = dev.resample_mode_for_train(dev.initial_state(params), params,
