@@ -1,19 +1,21 @@
 """Command-line front end: strict JSON run configs, figure-style experiment
 presets, seeded execution, and plot-ready CSV output with a reproducibility
-manifest."""
+manifest. One writer creates every file, and its directory, only when it
+writes it; a failed write exits 3 naming the file."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from . import device as dev
 from .device import DeviceParams
 from .network import PatternOrder, PatternSpec
 from .protocols import ExperimentPlan, PulseTrain
-from .trace import Trace
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_csv", "main"]
 
@@ -189,56 +190,31 @@ def _patched(instance, section: str, overrides: dict) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: Any) -> str:
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
-
-
-def emit_csv(obj: Any, path: Path | str) -> Path:
-    """Write a Trace, record list, or (x, y) pair list as CSV.
-
-    Header row then data rows; floats carry 9 significant digits; the final
-    row is newline-terminated. Trace and event rows are written from one
-    '%.9g' row template each, which formats a float exactly as ``_fmt``.
-    """
-    path = Path(path)
+def _write(path: Path, lines: Iterable[str]) -> Path:
+    """Write ``lines`` to ``path``, creating its directory with it, so a run
+    refused before its first write leaves no directory behind. An OSError
+    becomes a RuntimeError (exit 3) naming the file."""
     try:
-        # Created with its first file, so a refused run leaves no directory.
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            if isinstance(obj, Trace):
-                fh.write(f"time_s,{obj.column_name}\n")
-                fh.writelines("%.9g,%.9g\n" % row for row in
-                              zip(obj.times.tolist(), obj.values.tolist()))
-            elif isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], Trace):
-                # (v, i) style paired traces share the time base.
-                a, b = obj
-                fh.write(f"time_s,{a.column_name},{b.column_name}\n")
-                fh.writelines("%.9g,%.9g,%.9g\n" % row for row in zip(
-                    a.times.tolist(), a.values.tolist(), b.values.tolist()))
-            elif isinstance(obj, list) and obj and isinstance(obj[0], protocols.EventRecord):
-                n = len(obj[0].peaks)
-                peak_cols = ",".join(f"peak_{k + 1}" for k in range(n))
-                fh.write(f"index,g0_S,g_post_S,label,{peak_cols}\n")
-                row = "%d,%.9g,%.9g,%s" + ",%.9g" * n + "\n"
-                fh.writelines(row % (rec.index, rec.g0, rec.g_post,
-                                     rec.label.value, *rec.peaks) for rec in obj)
-            elif isinstance(obj, list) and obj and isinstance(obj[0], network.TrialRecord):
-                fh.write("index,pattern,spiked,label,g0_S,n_spikes\n")
-                for i, rec in enumerate(obj):
-                    label = rec.label.value if rec.label is not None else ""
-                    fh.write(f"{i},{rec.pattern.value},{int(rec.spiked)},{label},"
-                             f"{_fmt(rec.g0)},{len(rec.spike_times)}\n")
-            elif isinstance(obj, list):
-                fh.write("x,y\n")
-                for x, y in obj:
-                    fh.write(f"{_fmt(float(x))},{_fmt(float(y))}\n")
-            else:
-                raise TypeError(f"cannot emit {type(obj).__name__} as CSV")
+            fh.writelines(lines)
     except OSError as exc:
-        raise RuntimeError(f"cannot write CSV {path}: {exc}") from exc
+        raise RuntimeError(
+            f"cannot write {path.suffix[1:].upper()} {path}: {exc}") from exc
     return path
+
+
+def emit_csv(path: Path | str, header: str, rows: Iterable[tuple],
+             row_format: str) -> Path:
+    """Write the ``header`` line, then ``row_format % row`` for each row.
+
+    Callers name their own columns and give floats a '%.9g' field, so the
+    file is plot-ready and 9 significant digits survive a round trip; every
+    line, the last included, is newline-terminated.
+    """
+    line = row_format + "\n"
+    return _write(Path(path), itertools.chain(
+        [header + "\n"], (line % row for row in rows)))
 
 
 def _jsonable(value: Any) -> Any:
@@ -268,11 +244,7 @@ def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
     # Serialised before the file is opened, so a non-finite value fails
     # without leaving a truncated manifest behind.
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    path = out_dir / "manifest.json"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return path
+    return _write(out_dir / "manifest.json", [text + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +269,16 @@ def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
     params = _device_params(config)
     rng = np.random.default_rng(config.seed)
     records, _ = protocols.run_protocol(dev.initial_state(params), params, plan, rng)
-    emit_csv(records, out / "events.csv")
+    peaks = range(1, plan.train.n + 1)
+    emit_csv(out / "events.csv",
+             "index,g0_S,g_post_S,label" + "".join(f",peak_{k}" for k in peaks),
+             ((r.index, r.g0, r.g_post, r.label.value, *r.peaks) for r in records),
+             "%d,%.9g,%.9g,%s" + ",%.9g" * len(peaks))
     # plot-ready conductance transient of one train from rest
     _, trace = protocols.train_trace(
         dev.initial_state(params), params, plan.train, 0.0, plan.sample_dt)
-    emit_csv(trace, out / "train_trace.csv")
+    emit_csv(out / "train_trace.csv", "time_s,conductance_S",
+             zip(trace.times.tolist(), trace.values.tolist()), "%.9g,%.9g")
     n_f = sum(r.label is dev.EventLabel.STP_F for r in records)
     print(f"{config.preset}: {len(records)} events, "
           f"{n_f} STP-F / {len(records) - n_f} STP-S -> {out / 'events.csv'}")
@@ -318,7 +295,7 @@ def _run_decay_preset(config: RunConfig, out: Path) -> dict:
             raise RuntimeError(f"decay fit at t_int={t * 1e3:g} ms did not "
                                f"converge: {r.message}")
     pairs = [(t, r.params["tau_d"]) for t, r in results]
-    emit_csv(pairs, out / "decay_vs_interval.csv")
+    emit_csv(out / "decay_vs_interval.csv", "x,y", pairs, "%.9g,%.9g")
     for t, tau_d in pairs:
         print(f"t_int={t * 1e3:.0f} ms -> tau_d={tau_d:.4g} s")
     return {"device": _jsonable(params), "t_ints": t_ints}
@@ -328,7 +305,7 @@ def _run_amplitude_preset(config: RunConfig, out: Path) -> dict:
     params = _device_params(config)
     amplitudes = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     pairs = protocols.amplitude_sweep(params, amplitudes)
-    emit_csv(pairs, out / "amplitude_response.csv")
+    emit_csv(out / "amplitude_response.csv", "x,y", pairs, "%.9g,%.9g")
     print(f"{config.preset}: {len(pairs)} amplitudes -> "
           f"{out / 'amplitude_response.csv'}")
     return {"device": _jsonable(params), "amplitudes": amplitudes}
@@ -363,7 +340,11 @@ def _run_detector_preset(config: RunConfig, out: Path,
         spec = dataclasses.replace(pattern, order=order)
         p_spike, records = network.monte_carlo(
             net, spec, config.trials, config.seed)
-        emit_csv(records, out / f"trials_{order.value}.csv")
+        emit_csv(out / f"trials_{order.value}.csv",
+                 "index,pattern,spiked,label,g0_S,n_spikes",
+                 ((i, r.pattern.value, r.spiked, r.label.value if r.label else "",
+                   r.g0, len(r.spike_times)) for i, r in enumerate(records)),
+                 "%d,%s,%d,%s,%.9g,%d")
         summary[order.value] = p_spike
         print(f"{topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
               f"({config.trials} trials)")
@@ -381,9 +362,9 @@ def _run_iv_preset(config: RunConfig, out: Path) -> dict:
     dt = 20e-6
     state = dev.initial_state(params)
     _, v, i = dev.iv_sweep(state, params, waveform, dt)
-    times = dt * np.arange(v.size)
-    emit_csv((Trace(times, v, kind="voltage"), Trace(times, i, kind="current")),
-             out / "iv_trace.csv")
+    emit_csv(out / "iv_trace.csv", "time_s,voltage_V,current_A",
+             zip((dt * np.arange(v.size)).tolist(), v.tolist(), i.tolist()),
+             "%.9g,%.9g,%.9g")
     print(f"iv_sweep: {v.size} samples -> {out / 'iv_trace.csv'}")
     return {"device": _jsonable(params), "dt": dt, "v_peak": 2.0}
 
@@ -455,7 +436,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for flag, value in (("--g-eq", args.g_eq), ("--v-th", args.v_th)):
         _expect(value is None or math.isfinite(value),
                 f"{flag} must be a finite number, got {value!r}")
-    out = Path(args.out)
     if args.kind == "decay":
         if args.g_eq is None:
             raise ConfigError("fit decay requires --g-eq")
@@ -467,21 +447,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         v, y = _read_csv_columns(args.input, ["amplitude_V", "dg_norm"])
         res = fitting.fit_amplitude_curve(list(zip(v, y)), v_th=args.v_th)
-    rows = [(k, val) for k, val in res.params.items()]
-    path = out / f"fit_{args.kind}.csv"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write("parameter,value\n")
-            for k, val in rows:
-                fh.write(f"{k},{_fmt(val)}\n")
-            fh.write(f"sse,{_fmt(res.sse)}\n")
-            fh.write(f"converged,{int(res.converged)}\n")
-            fh.write(f"iterations,{res.iterations}\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write CSV {path}: {exc}") from exc
+    emit_csv(Path(args.out) / f"fit_{args.kind}.csv", "parameter,value",
+             [*res.params.items(), ("sse", res.sse),
+              ("converged", res.converged), ("iterations", res.iterations)],
+             "%s,%.9g")
     print(f"fit {args.kind}: converged={res.converged} sse={res.sse:.6g}")
-    for k, val in rows:
+    if not res.converged:
+        print(f"  {res.message}")
+    for k, val in res.params.items():
         print(f"  {k} = {val:.6g}")
     return EXIT_OK
 

@@ -110,7 +110,7 @@ def fit_decay(
     """Fit G(t) = g_eq + amplitude * exp(-t/tau_d) by log-linear regression.
 
     Samples at or below the baseline are excluded; fewer than 3 usable
-    samples is a failure.
+    samples, or usable samples at fewer than 2 distinct times, is a failure.
     """
     t = np.asarray(times, dtype=float)
     g = np.asarray(values, dtype=float)
@@ -121,6 +121,10 @@ def fit_decay(
                          sse=0.0, iterations=0, converged=False,
                          message="fewer than 3 samples above baseline")
     t_u, ln_r = t[usable], np.log(resid[usable])
+    if t_u.min() == t_u.max():
+        return FitResult(params={"tau_d": math.nan, "amplitude": math.nan},
+                         sse=0.0, iterations=0, converged=False,
+                         message="fewer than 2 distinct times above baseline")
     # Regress on t / max|t| so the regression never squares a huge time.
     t_scale = float(np.max(np.abs(t_u))) or 1.0
     slope, intercept = np.polyfit(t_u / t_scale, ln_r, 1)

@@ -328,12 +328,13 @@ def _memristor_currents(
 
 
 def _static_currents(
-    syn: StaticSynapse,
+    syn: StaticSynapse | RCSynapse,
     pulse_times: Sequence[float],
     train: PulseTrain,
     grid: np.ndarray,
     dt: float,
 ) -> np.ndarray:
+    """The pulse charge g*|v|*w delivered as a current on each pulse step."""
     current = np.zeros(grid.size)
     for k in _pulse_step_indices(pulse_times, dt, grid.size):
         current[k] += syn.g * abs(train.v) * train.w / dt
@@ -347,9 +348,7 @@ def _rc_currents(
     grid: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    drive = np.zeros(grid.size)
-    for k in _pulse_step_indices(pulse_times, dt, grid.size):
-        drive[k] += syn.g * abs(train.v) * train.w / dt
+    drive = _static_currents(syn, pulse_times, train, grid, dt)
     # First-order low-pass y' = (x - y)/tau, explicit step with a = dt/tau:
     # y[k] = a*x[k] + (1 - a)*y[k-1].
     a = dt / syn.tau

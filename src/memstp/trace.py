@@ -8,20 +8,13 @@ import numpy as np
 
 __all__ = ["Trace"]
 
-_COLUMN_NAMES = {
-    "conductance": "conductance_S",
-    "vmem": "vmem_V",
-    "current": "current_A",
-    "voltage": "voltage_V",
-}
-
 
 @dataclass
 class Trace:
     """A sampled signal: times in seconds plus values of one kind.
 
-    ``kind`` picks the CSV column name ("conductance", "vmem", "current",
-    "voltage", or anything else for a generic value column).
+    ``kind`` names what the values are ("conductance", "vmem", ...); the
+    code that writes a trace to CSV names its columns itself.
     """
 
     times: np.ndarray
@@ -33,7 +26,3 @@ class Trace:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have matching shapes")
-
-    @property
-    def column_name(self) -> str:
-        return _COLUMN_NAMES.get(self.kind, self.kind)

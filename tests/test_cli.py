@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 from memstp import cli
 from memstp.cli import ConfigError, emit_csv, main, parse_config
 from memstp.device import EventLabel, Mode
+from memstp.fitting import FitResult
+from memstp.network import PatternOrder, TrialRecord
 from memstp.protocols import EventRecord
 from memstp.trace import Trace
 
@@ -73,7 +76,8 @@ def test_override_round_trip_t_int(tmp_path):
 def test_emit_trace_line_count(tmp_path):
     tr = Trace(np.array([0.0, 1e-3, 2e-3]), np.array([1.0, 2.0, 3.0]),
                kind="conductance")
-    path = emit_csv(tr, tmp_path / "t.csv")
+    path = emit_csv(tmp_path / "t.csv", "time_s,conductance_S",
+                    zip(tr.times, tr.values), "%.9g,%.9g")
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0] == "time_s,conductance_S"
@@ -82,7 +86,7 @@ def test_emit_trace_line_count(tmp_path):
 
 def test_emit_empty_records_header_only(tmp_path):
     path = tmp_path / "e.csv"
-    emit_csv([], path)
+    emit_csv(path, "x,y", [], "%.9g,%.9g")
     assert path.read_text() == "x,y\n"
 
 
@@ -92,7 +96,11 @@ def test_emit_event_records_round_trip(tmp_path):
                         label=EventLabel.STP_F, mode=Mode.FACILITATING,
                         g_eq_before=2.9e-6, g_eq_after=2.9e-6)
             for k in range(3)]
-    path = emit_csv(recs, tmp_path / "r.csv")
+    path = emit_csv(tmp_path / "r.csv",
+                    "index,g0_S,g_post_S,label,peak_1,peak_2,peak_3",
+                    ((r.index, r.g0, r.g_post, r.label.value, *r.peaks)
+                     for r in recs),
+                    "%d,%.9g,%.9g,%s,%.9g,%.9g,%.9g")
     lines = path.read_text().splitlines()
     assert lines[0] == "index,g0_S,g_post_S,label,peak_1,peak_2,peak_3"
     for k, line in enumerate(lines[1:]):
@@ -107,7 +115,8 @@ def test_emit_trace_round_trip_9_digits(tmp_path):
     rng = np.random.default_rng(0)
     tr = Trace(np.linspace(0, 1, 50), rng.uniform(1e-7, 1e-5, 50),
                kind="current")
-    path = emit_csv(tr, tmp_path / "t.csv")
+    path = emit_csv(tmp_path / "t.csv", "time_s,current_A",
+                    zip(tr.times, tr.values), "%.9g,%.9g")
     lines = path.read_text().splitlines()[1:]
     vals = np.array([float(l.split(",")[1]) for l in lines])
     assert np.allclose(vals, tr.values, rtol=1e-8, atol=0)
@@ -242,6 +251,20 @@ def test_output_path_that_is_a_file_is_runtime_error(tmp_path, capsys):
         assert "cannot write CSV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_manifest_write_error_is_runtime_error(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "fig3b_amplitude"}))
+    argv = {"simulate": ["simulate", "--config", str(cfg)],
+            "detect": ["detect", "--topology", "sequence", "--trials", "2"],
+            }[command]
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "Traceback" not in err
+
+
 def test_fig3b_simulate_writes_manifest_and_csv(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -271,13 +294,30 @@ def test_detect_reproducible_and_thread_invariant(tmp_path):
 def test_fit_decay_subcommand(tmp_path):
     t = np.arange(0, 0.5, 1e-3)
     g = 2.9e-6 + 0.2e-6 * np.exp(-t / 0.1)
-    emit_csv(Trace(t, g, kind="conductance"), tmp_path / "in.csv")
+    emit_csv(tmp_path / "in.csv", "time_s,conductance_S", zip(t, g),
+             "%.9g,%.9g")
     rc = main(["fit", "decay", "--input", str(tmp_path / "in.csv"),
                "--g-eq", "2.9e-6", "--out", str(tmp_path / "fit")])
     assert rc == 0
     rows = (tmp_path / "fit" / "fit_decay.csv").read_text().splitlines()
     fitted = {r.split(",")[0]: r.split(",")[1] for r in rows[1:]}
     assert float(fitted["tau_d"]) == pytest.approx(0.1, rel=1e-6)
+
+
+@pytest.mark.parametrize("t0", ["0.0", "0.1"])
+def test_fit_decay_on_one_time_reports_why(tmp_path, capsys, t0):
+    (tmp_path / "in.csv").write_text(
+        "time_s,conductance_S\n" + "".join(
+            f"{t0},{g}\n" for g in ("3.1e-6", "3.0e-6", "2.95e-6")))
+    rc = main(["fit", "decay", "--input", str(tmp_path / "in.csv"),
+               "--g-eq", "2.9e-6", "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "fewer than 2 distinct times" in captured.out
+    assert captured.err == ""
+    rows = (tmp_path / "fit" / "fit_decay.csv").read_text().splitlines()
+    assert rows[1:4] == ["tau_d,nan", "amplitude,nan", "sse,0"]
+    assert rows[4] == "converged,0"
 
 
 def test_sweep_iv_runs(tmp_path):
@@ -362,21 +402,25 @@ def _edge_values():
     return _EDGE_FLOATS + random.tolist()
 
 
-def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path):
-    vals = _edge_values()
-    times = np.arange(len(vals)) * 1e-3
-    emit_csv(Trace(times, vals, kind="current"), tmp_path / "t.csv")
-    want = ["time_s,current_A"] + [
-        f"{cli._fmt(float(t))},{cli._fmt(v)}" for t, v in zip(times, vals)]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+def _spelled(header, rows):
+    """A CSV as the writer spells it: floats with 9 significant digits as
+    f"{x:.9g}" gives them, anything else as str gives it."""
+    return "".join(
+        ",".join(f"{x:.9g}" if isinstance(x, float) else str(x) for x in row)
+        + "\n" for row in [header, *rows])
 
+
+def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path, monkeypatch):
+    # Every CSV the CLI writes is fed edge values through its real caller.
+    vals = _edge_values()
     back = vals[::-1]
-    emit_csv((Trace(times, vals, kind="voltage"), Trace(times, back, kind="current")),
-             tmp_path / "p.csv")
-    want = ["time_s,voltage_V,current_A"] + [
-        f"{cli._fmt(float(t))},{cli._fmt(a)},{cli._fmt(b)}"
-        for t, a, b in zip(times, vals, back)]
-    assert (tmp_path / "p.csv").read_text() == "\n".join(want) + "\n"
+    times = (np.arange(len(vals)) * 1e-3).tolist()
+    cfg = tmp_path / "c.json"
+
+    def simulate(preset, out):
+        cfg.write_text(json.dumps({"preset": preset, "trials": 2}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return out
 
     # Event fields keep their type: plain floats and numpy float64 alike.
     records = [EventRecord(index=k, g0=cast(a), g_post=cast(b),
@@ -384,11 +428,61 @@ def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path):
                            mode=Mode.SATURATING, g_eq_before=a, g_eq_after=b)
                for k, (a, b) in enumerate(zip(vals, back))
                for cast in (float, np.float64)]
-    emit_csv(records, tmp_path / "e.csv")
-    want = ["index,g0_S,g_post_S,label,peak_1,peak_2,peak_3"] + [
-        f"{r.index},{cli._fmt(r.g0)},{cli._fmt(r.g_post)},stp_s,"
-        + ",".join(cli._fmt(p) for p in r.peaks) for r in records]
-    assert (tmp_path / "e.csv").read_text() == "\n".join(want) + "\n"
+    monkeypatch.setattr(cli.protocols, "run_protocol",
+                        lambda *args: (records, None))
+    monkeypatch.setattr(cli.protocols, "train_trace", lambda *args: (
+        None, Trace(times, vals, kind="conductance")))
+    out = simulate("fig2_stp", tmp_path / "fig2")
+    assert (out / "events.csv").read_text() == _spelled(
+        ["index", "g0_S", "g_post_S", "label", "peak_1", "peak_2", "peak_3"],
+        [(r.index, r.g0, r.g_post, "stp_s", *r.peaks) for r in records])
+    assert (out / "train_trace.csv").read_text() == _spelled(
+        ["time_s", "conductance_S"], zip(times, vals))
+
+    monkeypatch.setattr(cli.dev, "iv_sweep", lambda *args: (
+        None, np.array(vals), np.array(back)))
+    out = simulate("iv_sweep", tmp_path / "iv")
+    dt = json.loads((out / "manifest.json").read_text())["resolved"]["dt"]
+    assert (out / "iv_trace.csv").read_text() == _spelled(
+        ["time_s", "voltage_V", "current_A"],
+        zip((dt * np.arange(len(vals))).tolist(), vals, back))
+
+    pairs = [(a, b) for a, b in zip(vals, back)] + [(2, -3), (0, 1e-310)]
+    monkeypatch.setattr(cli.protocols, "amplitude_sweep", lambda *args: pairs)
+    out = simulate("fig3b_amplitude", tmp_path / "amp")
+    assert (out / "amplitude_response.csv").read_text() == _spelled(
+        ["x", "y"], [(float(a), float(b)) for a, b in pairs])
+
+    trials = [TrialRecord(pattern=PatternOrder.BA, spiked=bool(k % 2),
+                          membrane=None, conductance=None,
+                          label=(None, EventLabel.STP_F)[k % 2], g0=cast(v),
+                          mode=None, spike_times=(0.1,) * (k % 3))
+              for k, v in enumerate(vals) for cast in (float, np.float64)]
+    monkeypatch.setattr(cli.network, "monte_carlo",
+                        lambda *args: (0.5, trials))
+    out = tmp_path / "det"
+    assert main(["detect", "--topology", "sequence", "--pattern", "ba",
+                 "--trials", "2", "--out", str(out)]) == 0
+    assert (out / "trials_ba.csv").read_text() == _spelled(
+        ["index", "pattern", "spiked", "label", "g0_S", "n_spikes"],
+        [(i, "ba", int(r.spiked), r.label.value if r.label else "", r.g0,
+          len(r.spike_times)) for i, r in enumerate(trials)])
+
+    def fit(*args):
+        return FitResult(params={"tau_d": math.nan, "amplitude": -math.inf,
+                                 "offset": -0.0, "ceiling": math.inf},
+                         sse=1e-310, iterations=4000, converged=False,
+                         message="stub fit")
+
+    monkeypatch.setattr(cli.fitting, "fit_decay", fit)
+    header, rows, extra = _FIT_INPUTS["decay"]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    assert main(["fit", "decay", "--input", str(tmp_path / "in.csv"),
+                 "--out", str(tmp_path / "fit"), *extra]) == 0
+    assert (tmp_path / "fit" / "fit_decay.csv").read_text() == (
+        "parameter,value\ntau_d,nan\namplitude,-inf\noffset,-0\n"
+        "ceiling,inf\nsse,1e-310\nconverged,0\niterations,4000\n")
 
 
 def _simulate_network_override(tmp_path, preset, patch, trials=2):
@@ -561,6 +655,15 @@ def test_python_m_version_runs_clean(module):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.split() == [cli.__version__]
+
+
+def test_pyproject_version_is_package_version():
+    # The manifest records memstp.__version__; the package metadata must
+    # agree with it.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert match and match.group(1) == cli.__version__
 
 
 def test_detector_run_does_not_import_scipy(tmp_path):

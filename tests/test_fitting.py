@@ -36,6 +36,16 @@ def test_fit_decay_constant_trace_fails():
     assert not res.converged
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.1])
+def test_fit_decay_needs_two_distinct_times(t0):
+    # One time for every sample leaves the slope undetermined: at t=0 the
+    # regression failed inside LAPACK, at t=0.1 it reported a made-up tau_d.
+    res = fitting.fit_decay([t0] * 3, [3.1e-6, 3.0e-6, 2.95e-6], 2.9e-6)
+    assert not res.converged
+    assert np.isnan(res.params["tau_d"]) and np.isnan(res.params["amplitude"])
+    assert "distinct times" in res.message
+
+
 def test_fit_decay_noisy_within_two_percent():
     rng = np.random.default_rng(12)
     t = np.linspace(0, 0.5, 500)
