@@ -1,6 +1,6 @@
 """memstp: volatile-memristor short-term plasticity simulation toolkit."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import device, fitting, network, neuron, protocols, tm
 from .trace import Trace

@@ -338,13 +338,17 @@ def _run_detector_preset(config: RunConfig, out: Path,
     summary = {}
     for order in patterns:
         spec = dataclasses.replace(pattern, order=order)
-        p_spike, records = network.monte_carlo(
+        p_spike, batch = network.monte_carlo(
             net, spec, config.trials, config.seed)
+        labels = (itertools.repeat("") if batch.label is None else
+                  map(("stp_s", "stp_f").__getitem__, batch.label.tolist()))
         emit_csv(out / f"trials_{order.value}.csv",
                  "index,pattern,spiked,label,g0_S,n_spikes",
-                 ((i, r.pattern.value, r.spiked, r.label.value if r.label else "",
-                   r.g0, len(r.spike_times)) for i, r in enumerate(records)),
+                 zip(itertools.count(), itertools.repeat(order.value),
+                     batch.spiked.tolist(), labels, batch.g0.tolist(),
+                     batch.n_spikes.tolist()),
                  "%d,%s,%d,%s,%.9g,%d")
+        del batch  # frees this order's columns before the next order runs
         summary[order.value] = p_spike
         print(f"{topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
               f"({config.trials} trials)")

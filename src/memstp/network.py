@@ -15,7 +15,9 @@ positives).
 A batch of trials draws one ``rng.random((trials, k))`` block: row i holds
 trial i's draws, per memristive synapse the g0 jitter draw, then the mode
 draw. ``monte_carlo`` seeds it with ``default_rng(seed)``, so the first N
-trials of a longer run equal an N-trial run.
+trials of a longer run equal an N-trial run. A batch that draws nothing has
+identical trials and simulates one of them. ``monte_carlo`` returns the
+trials as columns, a ``TrialBatch``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "MemristiveSynapse",
     "Network",
     "TrialRecord",
+    "TrialBatch",
     "build_detector",
     "run_trial",
     "monte_carlo",
@@ -155,6 +158,57 @@ class TrialRecord:
     spike_times: tuple[float, ...] = ()
 
 
+@dataclass(frozen=True)
+class TrialBatch:
+    """Columnar results of a batch of trials: entry i is trial i.
+
+    ``g0`` (0 without a memristive synapse), ``saturating`` (the drawn or
+    forced mode), ``g_post`` and ``label`` (True for STP-F: g_post >= g0,
+    the ``classify_event`` tie rule) describe the first memristive synapse;
+    the last three are None when there is none. Trial i's spike times are
+    ``spike_times[spike_offsets[i]:spike_offsets[i + 1]]``. ``membrane`` and
+    ``conductance`` are (trials, steps) arrays sampled at ``times`` when
+    traces were recorded. A batch of identical trials shares one row, so
+    its columns are read-only broadcasts.
+    """
+
+    pattern: PatternOrder
+    n_spikes: np.ndarray
+    spike_times: np.ndarray
+    spike_offsets: np.ndarray
+    g0: np.ndarray
+    saturating: Optional[np.ndarray]
+    g_post: Optional[np.ndarray]
+    label: Optional[np.ndarray]
+    times: np.ndarray
+    membrane: Optional[np.ndarray] = None
+    conductance: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.n_spikes.size
+
+    @property
+    def spiked(self) -> np.ndarray:
+        return self.n_spikes > 0
+
+    def record(self, i: int) -> TrialRecord:
+        """Trial i as a ``TrialRecord``."""
+        a, b = self.spike_offsets[i], self.spike_offsets[i + 1]
+        return TrialRecord(
+            pattern=self.pattern, spiked=bool(self.n_spikes[i]),
+            membrane=(None if self.membrane is None
+                      else Trace(self.times, self.membrane[i], kind="vmem")),
+            conductance=(None if self.conductance is None else
+                         Trace(self.times, self.conductance[i],
+                               kind="conductance")),
+            label=(None if self.label is None else
+                   EventLabel.STP_F if self.label[i] else EventLabel.STP_S),
+            g0=float(self.g0[i]),
+            mode=(None if self.saturating is None else
+                  Mode.SATURATING if self.saturating[i] else Mode.FACILITATING),
+            spike_times=tuple(self.spike_times[a:b].tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Paper operating point (calibrated; see module docstring).
 # ---------------------------------------------------------------------------
@@ -244,36 +298,36 @@ def _initial_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial conductance and mode of every memristive synapse, per trial.
 
-    Returns (g_eq0, mode) arrays of shape (synapses, trials). The draws come
-    from one ``rng.random((trials, k))`` block whose row i is trial i's:
-    synapse by synapse, the jitter draw, then the mode draw. ``rng=None``
-    makes none: every synapse starts at its g_eq0, Facilitating unless the
-    network forces a mode.
+    Returns (g_eq0, saturating) arrays of shape (synapses, trials). The draws
+    come from one ``rng.random((trials, k))`` block whose row i is trial
+    i's: synapse by synapse, the jitter draw, then the mode draw. A batch
+    that draws nothing (``rng=None``, or no jitter and a forced mode) has
+    one distinct trial, so it gets a single column: every synapse at its
+    g_eq0, Facilitating unless the network forces a mode.
     """
     jitter = rng is not None and network.g0_jitter > 0.0
     draw_mode = rng is not None and network.force_mode is None
-    per_synapse = jitter + draw_mode
-    columns = iter(rng.random((trials, len(mem_params) * per_synapse)).T
-                   if per_synapse else ())
+    draws = len(mem_params) * (jitter + draw_mode)
+    columns = iter(rng.random((trials, draws)).T if draws else ())
+    trials = trials if draws else 1
     g_eq0 = np.empty((len(mem_params), trials))
-    modes = np.full((len(mem_params), trials),
-                    network.force_mode or Mode.FACILITATING, dtype=object)
+    saturating = np.full((len(mem_params), trials),
+                         network.force_mode is Mode.SATURATING)
     for row, params in enumerate(mem_params):
         g = params.g_eq0
         if jitter:
             g = np.clip(g + network.g0_jitter * (2.0 * next(columns) - 1.0),
                         params.g_min, params.g_max)
         if draw_mode:
-            saturating = next(columns) < dev.p_saturating(g, params)
-            modes[row, saturating] = Mode.SATURATING
+            saturating[row] = next(columns) < dev.p_saturating(g, params)
         g_eq0[row] = g
-    return g_eq0, modes
+    return g_eq0, saturating
 
 
 def _memristor_currents(
     syn: MemristiveSynapse,
     g_eq0: np.ndarray,
-    modes: np.ndarray,
+    saturating: np.ndarray,
     pulse_times: Sequence[float],
     train: PulseTrain,
     grid: np.ndarray,
@@ -283,48 +337,70 @@ def _memristor_currents(
     g_out: Optional[np.ndarray] = None,
 ) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """Event-driven simulation of a batch of fresh devices, read out on the
-    sample grid. Device r starts at g_eq0[r] in mode modes[r]; all see the
-    same pulses.
+    sample grid. Device r starts at g_eq0[r], Saturating where
+    saturating[r]; all see the same pulses.
 
-    Returns an iterator over the grid's steps that yields every device's
-    current (and fills column k of ``g_out`` with the conductances, if
-    given), and the conductance of each device g_post_delay after its last
-    pulse.
+    Returns an iterator over the grid in blocks of ``nrn._block_steps``
+    steps that yields every device's current as a (steps, devices) block
+    (and fills columns of ``g_out`` with the conductances, if given), and
+    the conductance of each device g_post_delay after its last pulse.
     """
     params = syn.params
+    rows = g_eq0.size
+    modes = np.full(rows, Mode.FACILITATING, dtype=object)
+    modes[saturating] = Mode.SATURATING
     s = dev._values(replace(dev.initial_state(params), g_eq=g_eq0,
-                            delta_g=np.zeros(g_eq0.size),
-                            acc=np.zeros(g_eq0.size), mode=modes))
+                            delta_g=np.zeros(rows), acc=np.zeros(rows),
+                            mode=modes))
 
-    # Piecewise segments: (start time, g_eq, delta_g, tau_d) after each pulse.
-    segments = [(grid[0] if grid.size else 0.0, s[0], s[3], s[4])]
-    write_charges: dict[int, list[np.ndarray]] = {}
-    for t, k in zip(pulse_times, _pulse_step_indices(pulse_times, dt, grid.size)):
+    # Piecewise segments: segment j starts at seg_starts[j] with g_eqs[j],
+    # delta_gs[j] and tau_ds[j]; segment 0 is the fresh device, segment j > 0
+    # follows pulse j.
+    n_seg = len(pulse_times) + 1
+    seg_starts, tau_ds = np.empty(n_seg), np.empty(n_seg)
+    g_eqs, delta_gs = np.empty((n_seg, rows)), np.empty((n_seg, rows))
+    seg_starts[0] = grid[0] if grid.size else 0.0
+    g_eqs[0], delta_gs[0], tau_ds[0] = s[0], s[3], s[4]
+    for j, t in enumerate(pulse_times, 1):
         s, _ = dev._pulse_step(s, params, t, train.v, train.w)
-        g_eq, _, _, delta_g, tau_d = s[:5]
-        segments.append((t, g_eq, delta_g, tau_d))
-        if include_write_charge:
-            charge = (g_eq + delta_g) * abs(train.v) * train.w
-            write_charges.setdefault(k, []).append(charge / dt)
+        seg_starts[j] = t
+        g_eqs[j], delta_gs[j], tau_ds[j] = s[0], s[3], s[4]
     g_post = dev._read(s, pulse_times[-1] + g_post_delay)
+    # (segment, step) of each pulse: its write charge lands on that step.
+    pulse_steps = _pulse_step_indices(pulse_times, dt, grid.size)
+    charges = list(enumerate(pulse_steps, 1)) if include_write_charge else []
 
-    # Sample k belongs to the latest segment whose start time <= grid[k].
-    seg_starts, g_eqs, delta_gs, tau_ds = (np.array(c) for c in zip(*segments))
+    # Sample k belongs to the latest segment whose start time <= grid[k], so
+    # segment j holds the samples edges[j]:edges[j + 1].
     which = np.clip(np.searchsorted(seg_starts, grid, side="right") - 1,
-                    0, len(segments) - 1)
+                    0, n_seg - 1)
     relax = np.exp(-(grid - seg_starts[which]) / tau_ds[which])
+    edges = np.searchsorted(which, np.arange(n_seg + 1)).tolist()
+    step = nrn._block_steps(rows)
 
-    def columns() -> Iterator[np.ndarray]:
-        for k, (seg, r) in enumerate(zip(which.tolist(), relax.tolist())):
-            g = g_eqs[seg] + delta_gs[seg] * r
+    def blocks() -> Iterator[np.ndarray]:
+        for a in range(0, grid.size, step):
+            b = min(a + step, grid.size)
+            g = np.empty((b - a, rows))
+            for j in range(which[a], which[b - 1] + 1):
+                lo, hi = max(a, edges[j]), min(b, edges[j + 1])
+                # g = g_eq + delta_g*relax, the same floats computed in
+                # place, on basic slices: a gather over the block costs more
+                # than the arithmetic.
+                piece = np.multiply(delta_gs[j], relax[lo:hi, None],
+                                    out=g[lo - a:hi - a])
+                piece += g_eqs[j]
             if g_out is not None:
-                g_out[:, k] = g
-            current = g * syn.read_v
-            for charge in write_charges.get(k, ()):
-                current += charge
+                g_out[:, a:b] = g.T
+            current = g
+            current *= syn.read_v
+            for j, k in charges:
+                if a <= k < b:
+                    current[k - a] += ((g_eqs[j] + delta_gs[j]) * abs(train.v)
+                                       * train.w / dt)
             yield current
 
-    return columns(), g_post
+    return blocks(), g_post
 
 
 def _static_currents(
@@ -360,21 +436,42 @@ def _rc_currents(
     return out + syn.g * syn.read_v
 
 
+def _column_blocks(current: np.ndarray, step: int) -> Iterator[np.ndarray]:
+    """A current shared by all trials as (steps, 1) blocks of ``step`` steps."""
+    for a in range(0, current.size, step):
+        yield current[a:a + step, None]
+
+
+def _time_grid(network: Network, pattern: PatternSpec,
+               t_end: float) -> np.ndarray:
+    """The sample grid dt*k of a trial, k < ceil(t_end/dt)."""
+    steps = t_end / network.dt
+    try:
+        return network.dt * np.arange(math.ceil(steps))
+    except (OverflowError, MemoryError, ValueError) as exc:
+        raise MemoryError(
+            f"cannot allocate a trial grid of {steps:.4g} steps of "
+            f"network.dt={network.dt:g} s over {t_end:g} s, the span set by "
+            f"network.lead={network.lead:g} s, pattern.gap={pattern.gap:g} s, "
+            f"network.tail={network.tail:g} s and trains "
+            f"{pattern.train.duration:g} s long") from exc
+
+
 def _simulate(
     network: Network,
     pattern: PatternSpec,
     trials: int,
     rng: Optional[np.random.Generator],
     record_traces: bool,
-) -> list[TrialRecord]:
+) -> TrialBatch:
     """Simulate trials 0..trials-1 on fresh networks, all as one batch.
 
     Static and RC synapse currents are the same in every trial and are
-    computed once; memristive currents are built one time step at a time and
-    fed straight to the membranes, so without ``record_traces`` memory grows
+    computed once; memristive currents are built in blocks of steps and fed
+    straight to the membranes, so without ``record_traces`` memory grows
     with the trials, not with trials x steps. Row i of one ``rng`` draw
-    block holds trial i's draws; ``rng=None`` draws nothing (see
-    _initial_draws).
+    block holds trial i's draws. A batch that draws nothing (see
+    _initial_draws) simulates one row and gives every trial its results.
     """
     dt = network.dt
     train = pattern.train
@@ -384,8 +481,8 @@ def _simulate(
     else:
         t_second = t_first + train.duration + pattern.gap
     t_end = max(t_first, t_second) + train.duration + network.tail
-    n = int(math.ceil(t_end / dt))
-    grid = dt * np.arange(n)
+    grid = _time_grid(network, pattern, t_end)
+    n = grid.size
 
     starts = [t_first, t_second]  # per synapse: static first, dynamic second
     if (network.topology != "coincidence_detector"
@@ -394,54 +491,58 @@ def _simulate(
 
     mem_params = [s.params for s in network.synapses
                   if isinstance(s, MemristiveSynapse)]
-    g_eq0, modes = _initial_draws(network, mem_params, trials, rng)
-    draws = iter(zip(g_eq0, modes))
-    g_trace = np.empty((trials, n)) if record_traces and mem_params else None
-    sources = []  # per synapse: its current at each step
+    g_eq0, saturating = _initial_draws(network, mem_params, trials, rng)
+    rows = g_eq0.shape[1]
+    draws = iter(zip(g_eq0, saturating))
+    g_trace = np.empty((rows, n)) if record_traces and mem_params else None
+    step = nrn._block_steps(rows)
+    sources = []  # per synapse: its current in blocks of steps
     standing_g0 = []
-    first = None  # (g0, mode, g_post) of the first memristor
+    first = None  # (g0, saturating, g_post) of the first memristor
     for idx, syn in enumerate(network.synapses):
         times = train.pulse_times(starts[idx])
-        if isinstance(syn, StaticSynapse):
-            sources.append(_static_currents(syn, times, train, grid, dt))
-        elif isinstance(syn, RCSynapse):
-            sources.append(_rc_currents(syn, times, train, grid, dt))
-        else:
-            g_init, mode_init = next(draws)
-            columns, g_post = _memristor_currents(
-                syn, g_init, mode_init, times, train, grid, dt,
+        if isinstance(syn, MemristiveSynapse):
+            g_init, sat_init = next(draws)
+            blocks, g_post = _memristor_currents(
+                syn, g_init, sat_init, times, train, grid, dt,
                 network.include_write_charge, network.g_post_delay,
                 g_out=g_trace if first is None else None)
-            sources.append(columns)
+            sources.append(blocks)
             standing_g0.append(g_init * syn.read_v)
             if first is None:
-                first = (g_init, mode_init, g_post)
+                first = (g_init, sat_init, g_post)
+        else:
+            current = (_static_currents if isinstance(syn, StaticSynapse)
+                       else _rc_currents)(syn, times, train, grid, dt)
+            sources.append(_column_blocks(current, step))
 
     rc_standing = sum(
         s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
     standing = sum(standing_g0) + rc_standing
     v0 = np.broadcast_to(network.neuron.e_l + standing / network.neuron.g_l,
-                         (trials,))
-    v = np.empty((trials, n)) if record_traces else None
-    total = (sum(currents) for currents in zip(*sources))  # per step
-    times_out, spike_times = nrn._integrate(network.neuron, total, dt, v0, v)
+                         (rows,))
+    v = np.empty((rows, n)) if record_traces else None
+    total = (sum(blocks) for blocks in zip(*sources))  # per block of steps
+    times_out, spike_times, offsets = nrn._integrate(
+        network.neuron, total, dt, v0, v)
 
-    records: list[TrialRecord] = []
-    for r, spikes in enumerate(spike_times):
-        label = mode = None
-        g0 = 0.0
-        if first is not None:
-            g0s, mode_row, g_post = first
-            g0, mode = float(g0s[r]), mode_row[r]
-            label = dev.classify_event(g0, float(g_post[r]))
-        records.append(TrialRecord(
-            pattern=pattern.order, spiked=bool(spikes),
-            membrane=(Trace(times_out, v[r], kind="vmem")
-                      if record_traces else None),
-            conductance=(Trace(times_out, g_trace[r], kind="conductance")
-                         if record_traces and first is not None else None),
-            label=label, g0=g0, mode=mode, spike_times=tuple(spikes)))
-    return records
+    n_spikes = np.diff(offsets)
+    if rows < trials:  # one distinct trial: every trial is row 0
+        spike_times = np.tile(spike_times, trials)
+        offsets = n_spikes[0] * np.arange(trials + 1)
+
+    def column(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        if a is None or rows == trials:
+            return a
+        return np.broadcast_to(a, (trials,) + a.shape[1:])
+
+    g0, sat, g_post = first or (np.zeros(rows), None, None)
+    return TrialBatch(
+        pattern=pattern.order, n_spikes=column(n_spikes),
+        spike_times=spike_times, spike_offsets=offsets, g0=column(g0),
+        saturating=column(sat), g_post=column(g_post),
+        label=column(None if first is None else g_post >= g0),
+        times=times_out, membrane=column(v), conductance=column(g_trace))
 
 
 def run_trial(
@@ -458,7 +559,7 @@ def run_trial(
     Without ``rng`` the memristive synapses start unjittered in Facilitating
     mode (unless the network forces a mode).
     """
-    return _simulate(network, pattern, 1, rng, record_traces)[0]
+    return _simulate(network, pattern, 1, rng, record_traces).record(0)
 
 
 def monte_carlo(
@@ -467,16 +568,15 @@ def monte_carlo(
     trials: int,
     seed: int,
     record_traces: bool = False,
-) -> tuple[float, list[TrialRecord]]:
-    """Independent seeded trials; returns (spike fraction, per-trial records).
+) -> tuple[float, TrialBatch]:
+    """Independent seeded trials; returns (spike fraction, trial columns).
 
     All trials run as one batch. Trial i draws from row i of one
     ``default_rng(seed).random((trials, k))`` block, so it depends only on
-    ``seed`` and i: the first N records of a longer run equal an N-trial run.
+    ``seed`` and i: the first N trials of a longer run equal an N-trial run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records = _simulate(network, pattern, trials,
-                        np.random.default_rng(seed), record_traces)
-    p_spike = sum(r.spiked for r in records) / trials
-    return p_spike, records
+    batch = _simulate(network, pattern, trials,
+                      np.random.default_rng(seed), record_traces)
+    return int(np.count_nonzero(batch.n_spikes)) / trials, batch

@@ -4,7 +4,8 @@ c_m dv/dt = -g_l (v - e_l) + g_l delta_t exp((v - v_t)/delta_t) + i_in
 
 Explicit fixed-step integration; with delta_t = 0 the exponential term is
 dropped (leaky IF). ``step`` advances one membrane; the trace runners advance
-a batch of independent membranes together, one time step at a time.
+a batch of independent membranes together, one time step at a time, taking
+the input current in cache-sized blocks of steps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ __all__ = [
 # Cap on the exponential argument; keeps a diverging membrane finite until the
 # spike detector fires.
 _EXP_ARG_MAX = 30.0
+
+# Elements of one current block (64 KB of float64): small enough that a
+# block's drive temporaries stay in cache.
+_BLOCK_ELEMENTS = 8192
+
+
+def _block_steps(rows: int) -> int:
+    """Steps per current block for a batch of ``rows`` membranes."""
+    return max(1, _BLOCK_ELEMENTS // max(rows, 1))
 
 
 @dataclass(frozen=True)
@@ -104,19 +114,22 @@ def step(
 
 def _integrate(
     params: NeuronParams,
-    currents: Iterable[Union[float, np.ndarray]],
+    blocks: Iterable[np.ndarray],
     dt: float,
     v0: np.ndarray,
     v_out: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, list[list[float]]]:
-    """Advance one membrane per entry of ``v0`` through ``currents``, which
-    yields each step's input current, one per membrane or one for all.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance one membrane per entry of ``v0`` through ``blocks``, which
+    yield the input current as consecutive time-major (steps, rows) blocks,
+    with a row per membrane or one row for all of them.
 
-    Each step is ``step`` over the batch: v = (dt/c_m)*(g_l*e_l + i) +
-    alpha*v, plus the capped exponential term if delta_t > 0, then spike,
-    reset and ceil(t_ref/dt) refractory steps. Fills column k of ``v_out``
-    with step k's membranes if given. Returns (step-end times, spike times
-    of each row).
+    The drive coef*(g_l*e_l + i) of a whole block is computed at once. Each
+    of its steps is then ``step`` over the batch: v = drive + alpha*v, plus
+    the capped exponential term if delta_t > 0, then spike, reset and
+    ceil(t_ref/dt) refractory steps. Fills column k of ``v_out`` with step
+    k's membranes if given. Returns (step-end times, the spike times of all
+    rows in row order, row offsets): row r's spike times are
+    ``spike_times[offsets[r]:offsets[r + 1]]``.
     """
     _check_dt(params, dt)
     alpha = 1.0 - dt * params.g_l / params.c_m
@@ -126,32 +139,50 @@ def _integrate(
     ref_steps = math.ceil(params.t_ref / dt)  # as in step
     held = np.zeros(v0.shape, dtype=int)  # refractory steps still to serve
     busy = 0  # steps until no membrane is refractory
-    spikes: list[list[int]] = [[] for _ in range(v0.size)]
-    v = v0
-    n = 0
-    for k, current in enumerate(currents):
-        drive = coef * (rest + current)
-        if exp_gain > 0.0:
-            drive = drive + exp_gain * np.exp(
-                np.minimum((v - params.v_t) / params.delta_t, _EXP_ARG_MAX))
-        v = drive + alpha * v
-        if busy:
-            clamped = held > 0
-            v[clamped] = params.v_reset
-            held -= clamped
-            busy -= 1
-        fired = (v >= params.v_peak).nonzero()[0]
-        if fired.size:
-            v[fired] = params.v_reset
-            held[fired] = ref_steps
-            busy = ref_steps
-            for row in fired.tolist():
-                spikes[row].append(k)
-        if v_out is not None:
-            v_out[:, k] = v
-        n = k + 1
-    times = dt * np.arange(1, n + 1)
-    return times, [[float(times[k]) for k in idx] for idx in spikes]
+    count = np.zeros(v0.shape, dtype=int)  # spikes so far, per row
+    # Per spike step: the step, the rows that fired, and each one's count of
+    # earlier spikes.
+    fired_steps: list[int] = []
+    fired_rows: list[np.ndarray] = []
+    ranks: list[np.ndarray] = []
+    v = np.array(v0, dtype=float)
+    scaled = np.empty_like(v)
+    k = 0
+    for block in blocks:
+        for drive in coef * (rest + block):
+            if exp_gain > 0.0:
+                drive = drive + exp_gain * np.exp(
+                    np.minimum((v - params.v_t) / params.delta_t, _EXP_ARG_MAX))
+            # v = drive + alpha*v into owned buffers: numpy's in-place
+            # operators cost more than a fresh array on small batches.
+            np.multiply(v, alpha, scaled)
+            np.add(drive, scaled, v)
+            if busy:
+                clamped = held > 0
+                v[clamped] = params.v_reset
+                held -= clamped
+                busy -= 1
+            fired = (v >= params.v_peak).nonzero()[0]
+            if fired.size:
+                v[fired] = params.v_reset
+                held[fired] = ref_steps
+                busy = ref_steps
+                fired_steps.append(k)
+                fired_rows.append(fired)
+                ranks.append(count[fired])
+                count[fired] += 1
+            if v_out is not None:
+                v_out[:, k] = v
+            k += 1
+    times = dt * np.arange(1, k + 1)
+    offsets = np.zeros(v.size + 1, dtype=int)
+    np.cumsum(count, out=offsets[1:])
+    spike_times = np.empty(offsets[-1])
+    if fired_steps:
+        rows = np.concatenate(fired_rows)
+        spike_times[offsets[rows] + np.concatenate(ranks)] = times[np.repeat(
+            fired_steps, [f.size for f in fired_rows])]
+    return times, spike_times, offsets
 
 
 def run_traces(
@@ -170,8 +201,12 @@ def run_traces(
     v0 = np.broadcast_to(np.asarray(params.e_l if v0 is None else v0,
                                     dtype=float), current.shape[:1])
     v = np.empty(current.shape)
-    times, spike_times = _integrate(params, current.T, dt, v0, v)
-    return times, v, spike_times
+    step = _block_steps(current.shape[0])
+    blocks = (current[:, a:a + step].T
+              for a in range(0, current.shape[1], step))
+    times, spike_times, offsets = _integrate(params, blocks, dt, v0, v)
+    return times, v, [spike_times[a:b].tolist()
+                      for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def run_trace(

@@ -12,7 +12,7 @@ import pytest
 from memstp import device as dev
 from memstp import fitting, network, protocols as pr, tm
 from memstp.cli import main as cli_main
-from memstp.device import DeviceParams, EventLabel, Mode, Pulse
+from memstp.device import DeviceParams, Mode, Pulse
 from memstp.network import PatternOrder, PatternSpec, build_detector, monte_carlo
 
 
@@ -207,12 +207,12 @@ def test_criterion_09_sequence_detector_statistics(detector_batches):
 
 def test_criterion_10_error_mechanism(detector_batches):
     _, rec_ba, _, rec_ab, _ = detector_batches
-    non_spikes = [r for r in rec_ba if not r.spiked]
-    false_pos = [r for r in rec_ab if r.spiked]
-    assert non_spikes and false_pos
-    s_frac = (sum(r.label is EventLabel.STP_S for r in non_spikes)
-              / len(non_spikes))
-    f_frac = sum(r.label is EventLabel.STP_F for r in false_pos) / len(false_pos)
+    # label is True for STP_F and False for STP_S.
+    non_spikes = rec_ba.label[~rec_ba.spiked]
+    false_pos = rec_ab.label[rec_ab.spiked]
+    assert non_spikes.size and false_pos.size
+    s_frac = np.count_nonzero(~non_spikes) / non_spikes.size
+    f_frac = np.count_nonzero(false_pos) / false_pos.size
     assert s_frac >= 0.95
     assert f_frac >= 0.95
     report(10, f"BA non-spikes carry STP_S at {s_frac:.1%}, "

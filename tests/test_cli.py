@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from memstp import cli
 from memstp.cli import ConfigError, emit_csv, main, parse_config
 from memstp.device import EventLabel, Mode
 from memstp.fitting import FitResult
-from memstp.network import PatternOrder, TrialRecord
+from memstp.network import PatternOrder, TrialBatch
 from memstp.protocols import EventRecord
 from memstp.trace import Trace
 
@@ -453,20 +454,32 @@ def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path, monkeypatch):
     assert (out / "amplitude_response.csv").read_text() == _spelled(
         ["x", "y"], [(float(a), float(b)) for a, b in pairs])
 
-    trials = [TrialRecord(pattern=PatternOrder.BA, spiked=bool(k % 2),
-                          membrane=None, conductance=None,
-                          label=(None, EventLabel.STP_F)[k % 2], g0=cast(v),
-                          mode=None, spike_times=(0.1,) * (k % 3))
-              for k, v in enumerate(vals) for cast in (float, np.float64)]
+    # AB: a batch without a memristive synapse (no labels); BA: labelled
+    # trials, STP-F on odd indices.
+    odd = np.arange(len(vals)) % 2 == 1
+    n_spikes = np.arange(len(vals)) % 3
+    unlabelled = TrialBatch(
+        pattern=PatternOrder.AB, n_spikes=n_spikes,
+        spike_times=np.full(n_spikes.sum(), 0.1),
+        spike_offsets=np.concatenate(([0], np.cumsum(n_spikes))),
+        g0=np.array(vals), saturating=None, g_post=None, label=None,
+        times=np.zeros(0))
+    batches = {PatternOrder.AB: unlabelled,
+               PatternOrder.BA: dataclasses.replace(
+                   unlabelled, pattern=PatternOrder.BA, saturating=~odd,
+                   g_post=np.array(back), label=odd)}
     monkeypatch.setattr(cli.network, "monte_carlo",
-                        lambda *args: (0.5, trials))
+                        lambda net, spec, *args: (0.5, batches[spec.order]))
     out = tmp_path / "det"
-    assert main(["detect", "--topology", "sequence", "--pattern", "ba",
+    assert main(["detect", "--topology", "sequence", "--pattern", "both",
                  "--trials", "2", "--out", str(out)]) == 0
-    assert (out / "trials_ba.csv").read_text() == _spelled(
-        ["index", "pattern", "spiked", "label", "g0_S", "n_spikes"],
-        [(i, "ba", int(r.spiked), r.label.value if r.label else "", r.g0,
-          len(r.spike_times)) for i, r in enumerate(trials)])
+    for order, labels in (("ab", [""] * len(vals)),
+                          ("ba", [("stp_s", "stp_f")[k % 2]
+                                  for k in range(len(vals))])):
+        assert (out / f"trials_{order}.csv").read_text() == _spelled(
+            ["index", "pattern", "spiked", "label", "g0_S", "n_spikes"],
+            [(i, order, int(n > 0), label, g0, n) for i, (label, g0, n)
+             in enumerate(zip(labels, vals, n_spikes.tolist()))])
 
     def fit(*args):
         return FitResult(params={"tau_d": math.nan, "amplitude": -math.inf,
@@ -507,22 +520,44 @@ def test_network_override_rejects_bad_values(tmp_path, capsys, preset, patch):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("section, patch, steps", [
+    ("pattern", {"gap": 1e9}, "1e+12 steps"),
+    ("network", {"tail": 1e300}, "1e+303 steps"),
+])
+def test_unallocatable_trial_grid_names_its_fields(tmp_path, capsys, section,
+                                                   patch, steps):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "preset": "fig4_sequence", "trials": 2,
+        "overrides": {section: patch}, "out_dir": str(out)}))
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert steps in err
+    for name in ("network.dt", "network.lead", "network.tail", "pattern.gap",
+                 "trains 0.50001 s long"):
+        assert name in err
+    assert not out.exists()
+
+
 def test_force_mode_override_runs_every_trial_in_that_mode(tmp_path,
                                                            monkeypatch):
     runs = []
     monte_carlo = cli.network.monte_carlo
 
     def recording_monte_carlo(*args, **kwargs):
-        p_spike, records = monte_carlo(*args, **kwargs)
-        runs.append(records)
-        return p_spike, records
+        p_spike, batch = monte_carlo(*args, **kwargs)
+        runs.append(batch)
+        return p_spike, batch
 
     monkeypatch.setattr(cli.network, "monte_carlo", recording_monte_carlo)
     rc, out = _simulate_network_override(
         tmp_path, "fig4_sequence", {"force_mode": "saturating"}, trials=20)
     assert rc == 0
     assert len(runs) == 2
-    assert all(rec.mode is Mode.SATURATING for recs in runs for rec in recs)
+    assert all(len(batch) == 20 and batch.saturating.all() for batch in runs)
+    assert all(batch.record(i).mode is Mode.SATURATING
+               for batch in runs for i in range(len(batch)))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["overrides"]["network"]["force_mode"] == "saturating"
 

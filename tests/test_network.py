@@ -108,7 +108,7 @@ def test_monte_carlo_deterministic_given_seed():
     p1, rec1 = monte_carlo(n, spec, 60, seed=9)
     p2, rec2 = monte_carlo(n, spec, 60, seed=9)
     assert p1 == p2
-    assert [r.spiked for r in rec1] == [r.spiked for r in rec2]
+    assert np.array_equal(rec1.spiked, rec2.spiked)
 
 
 def test_monte_carlo_forced_facilitating_is_binary():
@@ -132,11 +132,12 @@ def test_error_mechanism_labels():
     n = build_detector("sequence_detector")
     _, rec_ba = monte_carlo(n, PatternSpec(order=PatternOrder.BA), 300, seed=1)
     _, rec_ab = monte_carlo(n, PatternSpec(order=PatternOrder.AB), 300, seed=1)
-    non_spikes = [r for r in rec_ba if not r.spiked]
-    fps = [r for r in rec_ab if r.spiked]
-    assert non_spikes and fps
-    s_frac = sum(r.label is EventLabel.STP_S for r in non_spikes) / len(non_spikes)
-    f_frac = sum(r.label is EventLabel.STP_F for r in fps) / len(fps)
+    # label is True for STP_F and False for STP_S.
+    non_spikes = rec_ba.label[~rec_ba.spiked]
+    fps = rec_ab.label[rec_ab.spiked]
+    assert non_spikes.size and fps.size
+    s_frac = np.count_nonzero(~non_spikes) / non_spikes.size
+    f_frac = np.count_nonzero(fps) / fps.size
     assert s_frac >= 0.95
     assert f_frac >= 0.95
 
@@ -147,8 +148,8 @@ def test_forty_trial_batches_near_reported_rates():
     n = build_detector("sequence_detector")
     _, rec_ba = monte_carlo(n, PatternSpec(order=PatternOrder.BA), 40, seed=8)
     _, rec_ab = monte_carlo(n, PatternSpec(order=PatternOrder.AB), 40, seed=8)
-    ba_spikes = sum(r.spiked for r in rec_ba)
-    ab_spikes = sum(r.spiked for r in rec_ab)
+    ba_spikes = np.count_nonzero(rec_ba.spiked)
+    ab_spikes = np.count_nonzero(rec_ab.spiked)
     assert abs(ba_spikes - 27) <= 3 * (40 * 0.675 * 0.325) ** 0.5
     assert abs(ab_spikes - 6) <= 3 * (40 * 0.15 * 0.85) ** 0.5
 

@@ -2,11 +2,13 @@
 
 ``reference_run_trial`` and ``reference_memristor_currents`` are the
 one-trial-at-a-time implementation that ``network.monte_carlo`` used before
-trials were batched, kept here unchanged as the oracle. The batch must give
-identical ``TrialRecord``s, traces included, for every topology and for the
-off-operating-point settings that reach its per-trial mask branches.
-``reference_monte_carlo`` feeds one seeded generator to the reference trials
-in trial order, which is the draw order of the batch's draw block.
+trials were batched, kept here unchanged as the oracle. Every column of the
+batch (g0, mode, label, spike counts and times, both traces) must equal the
+reference trial by trial, for every topology, for the off-operating-point
+settings that reach its per-trial mask branches, and across the edges of its
+blocks of steps. ``reference_monte_carlo`` feeds one seeded generator to the
+reference trials in trial order, which is the draw order of the batch's draw
+block.
 """
 
 from __future__ import annotations
@@ -172,6 +174,39 @@ def assert_same_trace(a: Optional[Trace], b: Optional[Trace]) -> None:
     assert np.array_equal(a.values, b.values)
 
 
+def assert_batch_matches(batch: net.TrialBatch,
+                         want: Sequence[TrialRecord]) -> None:
+    """Every column of ``batch`` equals the records ``want``, trial by trial."""
+    assert len(batch) == len(want)
+    assert all(w.pattern is batch.pattern for w in want)
+    assert batch.g0.tolist() == [w.g0 for w in want]
+    if want[0].mode is None:
+        assert batch.saturating is None and batch.g_post is None
+        assert batch.label is None
+    else:
+        assert [Mode.SATURATING if s else Mode.FACILITATING
+                for s in batch.saturating.tolist()] == [w.mode for w in want]
+        assert [EventLabel.STP_F if f else EventLabel.STP_S
+                for f in batch.label.tolist()] == [w.label for w in want]
+        assert np.array_equal(batch.label, batch.g_post >= batch.g0)
+    assert batch.n_spikes.tolist() == [len(w.spike_times) for w in want]
+    offsets = batch.spike_offsets
+    assert offsets[0] == 0 and np.array_equal(np.diff(offsets), batch.n_spikes)
+    assert [batch.spike_times[a:b].tolist()
+            for a, b in zip(offsets[:-1], offsets[1:])] == [
+        list(w.spike_times) for w in want]
+    for name in ("membrane", "conductance"):
+        column = getattr(batch, name)
+        if getattr(want[0], name) is None:
+            assert column is None
+            continue
+        assert column.shape == (len(want), batch.times.size)
+        for row, w in zip(column, want):
+            assert np.array_equal(row, getattr(w, name).values)
+    for i, w in enumerate(want):
+        assert_same_record(batch.record(i), w)
+
+
 def assert_same_record(got: TrialRecord, want: TrialRecord) -> None:
     assert got.pattern is want.pattern
     assert got.spiked is want.spiked
@@ -219,6 +254,9 @@ CASES = {
     "coincidence_drawn": lambda: with_device(
         build_detector("coincidence_detector", force_mode=None,
                        g0_jitter=0.02e-6), e0=0.5e-9),
+    # Draws nothing, like control and coincidence: one simulated row.
+    "forced_unjittered": lambda: build_detector(
+        "sequence_detector", force_mode=Mode.SATURATING, g0_jitter=0.0),
 }
 
 
@@ -234,10 +272,54 @@ def test_batched_monte_carlo_matches_per_trial_reference(case, order):
     p_spike, got = net.monte_carlo(network, pattern, trials, seed=11,
                                    record_traces=True)
     want = reference_monte_carlo(network, pattern, trials, seed=11)
-    assert len(got) == trials
-    for g, w in zip(got, want):
-        assert_same_record(g, w)
+    assert_batch_matches(got, want)
+    assert type(p_spike) is float
     assert p_spike == sum(w.spiked for w in want) / trials
+
+
+@pytest.mark.parametrize("order, trials", [(PatternOrder.AB, 300),
+                                           (PatternOrder.BA, 330)])
+def test_block_edges_match_per_trial_reference(order, trials):
+    # At dt = 0.5 ms these batches make 27- and 24-step blocks: some blocks
+    # span two segments, and a write-charge step falls on a block's first or
+    # last step.
+    network = build_detector("sequence_detector", dt=5e-4)
+    pattern = PatternSpec(order=order)
+    step = nrn._block_steps(trials)
+    p_spike, got = net.monte_carlo(network, pattern, trials, seed=5,
+                                   record_traces=True)
+    start = network.lead
+    if order is PatternOrder.AB:
+        start += pattern.train.duration + pattern.gap
+    pulses = pattern.train.pulse_times(start)
+    writes = net._pulse_step_indices(pulses, network.dt, got.times.size)
+    grid = network.dt * np.arange(got.times.size)
+    segment = np.searchsorted(pulses, grid, side="right")
+    seg_edges = np.flatnonzero(np.diff(segment)) + 1
+    assert any(k % step in (0, step - 1) for k in writes)
+    assert any(k % step for k in seg_edges)
+    want = reference_monte_carlo(network, pattern, trials, seed=5)
+    assert_batch_matches(got, want)
+    assert p_spike == sum(w.spiked for w in want) / trials
+
+
+@pytest.mark.parametrize("case", ["control", "coincidence",
+                                  "forced_unjittered"])
+def test_batch_without_draws_gives_every_trial_one_row(case, monkeypatch):
+    network = CASES[case]()
+    pattern = PatternSpec(order=PatternOrder.BA)
+    rows = []
+    integrate = nrn._integrate
+
+    def counting_integrate(params, blocks, dt, v0, v_out=None):
+        rows.append(v0.size)
+        return integrate(params, blocks, dt, v0, v_out)
+
+    monkeypatch.setattr(nrn, "_integrate", counting_integrate)
+    _, got = net.monte_carlo(network, pattern, 25, seed=3, record_traces=True)
+    assert rows == [1]
+    want = reference_run_trial(network, pattern)
+    assert_batch_matches(got, [want] * 25)
 
 
 @pytest.mark.parametrize("case", ["sequence", "coincidence_drawn"])
@@ -248,8 +330,7 @@ def test_monte_carlo_prefix_independent_of_trial_count(case):
     pattern = PatternSpec(order=PatternOrder.BA)
     _, short = net.monte_carlo(network, pattern, 40, seed=11)
     _, long = net.monte_carlo(network, pattern, 100, seed=11)
-    for g, w in zip(short, long[:40]):
-        assert_same_record(g, w)
+    assert_batch_matches(short, [long.record(i) for i in range(40)])
 
 
 @pytest.mark.parametrize("v", [0.0, 0.5, -4.0])
