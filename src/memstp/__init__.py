@@ -1,9 +1,8 @@
 """memstp: volatile-memristor short-term plasticity simulation toolkit."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from . import device, fitting, network, neuron, protocols, tm
-from .trace import Trace
 
 __all__ = [
     "device",
@@ -12,6 +11,5 @@ __all__ = [
     "neuron",
     "protocols",
     "tm",
-    "Trace",
     "__version__",
 ]

@@ -267,6 +267,13 @@ def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
     train = _patched(train, "train", config.overrides)
     plan = _patched(dataclasses.replace(plan, train=train), "plan", config.overrides)
     params = _device_params(config)
+    # Plot-ready conductance transient of one train from rest, built before
+    # any file is written, so a sample_dt too fine to allocate writes none.
+    try:
+        _, times, values = protocols.train_trace(
+            dev.initial_state(params), params, plan.train, 0.0, plan.sample_dt)
+    except MemoryError as exc:
+        raise MemoryError(f"plan.sample_dt: {exc}") from exc
     rng = np.random.default_rng(config.seed)
     records, _ = protocols.run_protocol(dev.initial_state(params), params, plan, rng)
     peaks = range(1, plan.train.n + 1)
@@ -274,11 +281,8 @@ def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
              "index,g0_S,g_post_S,label" + "".join(f",peak_{k}" for k in peaks),
              ((r.index, r.g0, r.g_post, r.label.value, *r.peaks) for r in records),
              "%d,%.9g,%.9g,%s" + ",%.9g" * len(peaks))
-    # plot-ready conductance transient of one train from rest
-    _, trace = protocols.train_trace(
-        dev.initial_state(params), params, plan.train, 0.0, plan.sample_dt)
     emit_csv(out / "train_trace.csv", "time_s,conductance_S",
-             zip(trace.times.tolist(), trace.values.tolist()), "%.9g,%.9g")
+             zip(times.tolist(), values.tolist()), "%.9g,%.9g")
     n_f = sum(r.label is dev.EventLabel.STP_F for r in records)
     print(f"{config.preset}: {len(records)} events, "
           f"{n_f} STP-F / {len(records) - n_f} STP-S -> {out / 'events.csv'}")

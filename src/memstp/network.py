@@ -31,9 +31,8 @@ import numpy as np
 
 from . import device as dev
 from . import neuron as nrn
-from .device import DeviceParams, EventLabel, Mode
+from .device import DeviceParams, Mode
 from .protocols import PulseTrain
-from .trace import Trace
 
 __all__ = [
     "PatternOrder",
@@ -42,10 +41,8 @@ __all__ = [
     "RCSynapse",
     "MemristiveSynapse",
     "Network",
-    "TrialRecord",
     "TrialBatch",
     "build_detector",
-    "run_trial",
     "monte_carlo",
     "OPERATING_POINT",
 ]
@@ -146,18 +143,6 @@ class Network:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass
-class TrialRecord:
-    pattern: PatternOrder
-    spiked: bool
-    membrane: Optional[Trace]
-    conductance: Optional[Trace]
-    label: Optional[EventLabel]
-    g0: float
-    mode: Optional[Mode]
-    spike_times: tuple[float, ...] = ()
-
-
 @dataclass(frozen=True)
 class TrialBatch:
     """Columnar results of a batch of trials: entry i is trial i.
@@ -190,23 +175,6 @@ class TrialBatch:
     @property
     def spiked(self) -> np.ndarray:
         return self.n_spikes > 0
-
-    def record(self, i: int) -> TrialRecord:
-        """Trial i as a ``TrialRecord``."""
-        a, b = self.spike_offsets[i], self.spike_offsets[i + 1]
-        return TrialRecord(
-            pattern=self.pattern, spiked=bool(self.n_spikes[i]),
-            membrane=(None if self.membrane is None
-                      else Trace(self.times, self.membrane[i], kind="vmem")),
-            conductance=(None if self.conductance is None else
-                         Trace(self.times, self.conductance[i],
-                               kind="conductance")),
-            label=(None if self.label is None else
-                   EventLabel.STP_F if self.label[i] else EventLabel.STP_S),
-            g0=float(self.g0[i]),
-            mode=(None if self.saturating is None else
-                  Mode.SATURATING if self.saturating[i] else Mode.FACILITATING),
-            spike_times=tuple(self.spike_times[a:b].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +262,22 @@ def _initial_draws(
     network: Network,
     mem_params: Sequence[DeviceParams],
     trials: int,
-    rng: Optional[np.random.Generator],
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial conductance and mode of every memristive synapse, per trial.
 
     Returns (g_eq0, saturating) arrays of shape (synapses, trials). The draws
-    come from one ``rng.random((trials, k))`` block whose row i is trial
-    i's: synapse by synapse, the jitter draw, then the mode draw. A batch
-    that draws nothing (``rng=None``, or no jitter and a forced mode) has
-    one distinct trial, so it gets a single column: every synapse at its
-    g_eq0, Facilitating unless the network forces a mode.
+    come from one ``default_rng(seed).random((trials, k))`` block whose row
+    i is trial i's: synapse by synapse, the jitter draw, then the mode
+    draw. A batch that draws nothing (no memristive synapse, or no jitter
+    and a forced mode) has one distinct trial, so it gets a single column:
+    every synapse at its g_eq0, in the forced mode.
     """
-    jitter = rng is not None and network.g0_jitter > 0.0
-    draw_mode = rng is not None and network.force_mode is None
+    jitter = network.g0_jitter > 0.0
+    draw_mode = network.force_mode is None
     draws = len(mem_params) * (jitter + draw_mode)
-    columns = iter(rng.random((trials, draws)).T if draws else ())
+    columns = iter(np.random.default_rng(seed).random((trials, draws)).T
+                   if draws else ())
     trials = trials if draws else 1
     g_eq0 = np.empty((len(mem_params), trials))
     saturating = np.full((len(mem_params), trials),
@@ -436,12 +405,6 @@ def _rc_currents(
     return out + syn.g * syn.read_v
 
 
-def _column_blocks(current: np.ndarray, step: int) -> Iterator[np.ndarray]:
-    """A current shared by all trials as (steps, 1) blocks of ``step`` steps."""
-    for a in range(0, current.size, step):
-        yield current[a:a + step, None]
-
-
 def _time_grid(network: Network, pattern: PatternSpec,
                t_end: float) -> np.ndarray:
     """The sample grid dt*k of a trial, k < ceil(t_end/dt)."""
@@ -457,22 +420,27 @@ def _time_grid(network: Network, pattern: PatternSpec,
             f"{pattern.train.duration:g} s long") from exc
 
 
-def _simulate(
+def monte_carlo(
     network: Network,
     pattern: PatternSpec,
     trials: int,
-    rng: Optional[np.random.Generator],
-    record_traces: bool,
-) -> TrialBatch:
-    """Simulate trials 0..trials-1 on fresh networks, all as one batch.
+    seed: int,
+    record_traces: bool = False,
+) -> tuple[float, TrialBatch]:
+    """Independent seeded trials on fresh networks, all as one batch;
+    returns (spike fraction, trial columns).
 
+    Trial i draws from row i of one ``default_rng(seed).random((trials,
+    k))`` block, so it depends only on ``seed`` and i: the first N trials of
+    a longer run equal an N-trial run. A batch that draws nothing (see
+    _initial_draws) simulates one row and gives every trial its results.
     Static and RC synapse currents are the same in every trial and are
     computed once; memristive currents are built in blocks of steps and fed
     straight to the membranes, so without ``record_traces`` memory grows
-    with the trials, not with trials x steps. Row i of one ``rng`` draw
-    block holds trial i's draws. A batch that draws nothing (see
-    _initial_draws) simulates one row and gives every trial its results.
+    with the trials, not with trials x steps.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     dt = network.dt
     train = pattern.train
     t_first = network.lead
@@ -491,7 +459,7 @@ def _simulate(
 
     mem_params = [s.params for s in network.synapses
                   if isinstance(s, MemristiveSynapse)]
-    g_eq0, saturating = _initial_draws(network, mem_params, trials, rng)
+    g_eq0, saturating = _initial_draws(network, mem_params, trials, seed)
     rows = g_eq0.shape[1]
     draws = iter(zip(g_eq0, saturating))
     g_trace = np.empty((rows, n)) if record_traces and mem_params else None
@@ -514,7 +482,9 @@ def _simulate(
         else:
             current = (_static_currents if isinstance(syn, StaticSynapse)
                        else _rc_currents)(syn, times, train, grid, dt)
-            sources.append(_column_blocks(current, step))
+            # (steps, 1) blocks: one column shared by all trials.
+            sources.append([current[a:a + step, None]
+                            for a in range(0, n, step)])
 
     rc_standing = sum(
         s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
@@ -537,46 +507,10 @@ def _simulate(
         return np.broadcast_to(a, (trials,) + a.shape[1:])
 
     g0, sat, g_post = first or (np.zeros(rows), None, None)
-    return TrialBatch(
+    batch = TrialBatch(
         pattern=pattern.order, n_spikes=column(n_spikes),
         spike_times=spike_times, spike_offsets=offsets, g0=column(g0),
         saturating=column(sat), g_post=column(g_post),
         label=column(None if first is None else g_post >= g0),
         times=times_out, membrane=column(v), conductance=column(g_trace))
-
-
-def run_trial(
-    network: Network,
-    pattern: PatternSpec,
-    rng: Optional[np.random.Generator] = None,
-    record_traces: bool = True,
-) -> TrialRecord:
-    """Simulate one pattern presentation on a fresh network, on its ``dt``.
-
-    The membrane starts from its standing-bias steady state; ``spiked`` is
-    true if any spike is emitted during the trial. The trial takes the next
-    draws of ``rng``, in the order of one row of a Monte-Carlo draw block.
-    Without ``rng`` the memristive synapses start unjittered in Facilitating
-    mode (unless the network forces a mode).
-    """
-    return _simulate(network, pattern, 1, rng, record_traces).record(0)
-
-
-def monte_carlo(
-    network: Network,
-    pattern: PatternSpec,
-    trials: int,
-    seed: int,
-    record_traces: bool = False,
-) -> tuple[float, TrialBatch]:
-    """Independent seeded trials; returns (spike fraction, trial columns).
-
-    All trials run as one batch. Trial i draws from row i of one
-    ``default_rng(seed).random((trials, k))`` block, so it depends only on
-    ``seed`` and i: the first N trials of a longer run equal an N-trial run.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    batch = _simulate(network, pattern, trials,
-                      np.random.default_rng(seed), record_traces)
     return int(np.count_nonzero(batch.n_spikes)) / trials, batch

@@ -3,7 +3,7 @@
 c_m dv/dt = -g_l (v - e_l) + g_l delta_t exp((v - v_t)/delta_t) + i_in
 
 Explicit fixed-step integration; with delta_t = 0 the exponential term is
-dropped (leaky IF). ``step`` advances one membrane; the trace runners advance
+dropped (leaky IF). ``step`` advances one membrane; ``run_traces`` advances
 a batch of independent membranes together, one time step at a time, taking
 the input current in cache-sized blocks of steps.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "NeuronParams",
     "NeuronState",
     "step",
-    "run_trace",
     "run_traces",
 ]
 
@@ -194,8 +193,10 @@ def run_traces(
     """Integrate each row of a (rows, steps) current array as its own membrane.
 
     Returns (times, v array of the same shape, spike times of each row).
-    ``v0`` is the starting membrane, one value for all rows or one per row
-    (rest if not given). Each row matches ``run_trace`` on that row alone.
+    The v array holds each membrane after every step; spike times are the
+    step-end times of threshold crossings. ``v0`` is the starting membrane,
+    one value for all rows or one per row (rest if not given). A single
+    series is the one-row array ``current[None]``.
     """
     current = np.asarray(current, dtype=float)
     v0 = np.broadcast_to(np.asarray(params.e_l if v0 is None else v0,
@@ -207,20 +208,3 @@ def run_traces(
     times, spike_times, offsets = _integrate(params, blocks, dt, v0, v)
     return times, v, [spike_times[a:b].tolist()
                       for a, b in zip(offsets[:-1], offsets[1:])]
-
-
-def run_trace(
-    params: NeuronParams,
-    current: np.ndarray,
-    dt: float,
-    v0: Optional[float] = None,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Integrate a sampled current series; returns (times, v trace, spike times).
-
-    The trace holds the membrane after each step; spike times are the step-end
-    times of threshold crossings. The membrane starts at ``v0`` (rest if not
-    given).
-    """
-    current = np.asarray(current, dtype=float)
-    times, v, spike_times = run_traces(params, current[None, :], dt, v0)
-    return times, v[0], spike_times[0]

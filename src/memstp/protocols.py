@@ -16,7 +16,6 @@ import numpy as np
 from . import device as dev
 from . import fitting
 from .device import DeviceParams, DeviceState, EventLabel, Mode, Pulse
-from .trace import Trace
 
 __all__ = [
     "PulseTrain",
@@ -156,22 +155,30 @@ def train_trace(
     t0: float,
     sample_dt: float,
     tail: float = 1.0,
-) -> tuple[DeviceState, Trace]:
+) -> tuple[DeviceState, np.ndarray, np.ndarray]:
     """Apply a train and sample the conductance every ``sample_dt``.
 
-    Returns the state after the last pulse and the sampled G(t) trace (train
-    span plus ``tail`` seconds of relaxation). A sample at or after a pulse
-    reads the state that pulse left; reads never change the state.
+    Returns the state after the last pulse, the sample times (train span
+    plus ``tail`` seconds of relaxation) and the conductance at each. A
+    sample at or after a pulse reads the state that pulse left; reads never
+    change the state.
     """
     if sample_dt <= 0.0:
         raise ValueError("sample_dt must be > 0")
-    times = np.arange(t0, t0 + train.duration + tail, sample_dt)
+    span = train.duration + tail
+    try:
+        times = np.arange(t0, t0 + span, sample_dt)
+    except (OverflowError, MemoryError, ValueError) as exc:
+        raise MemoryError(
+            f"cannot allocate a trace of {span / sample_dt:.4g} samples of "
+            f"sample_dt={sample_dt:g} s over {span:g} s, a train "
+            f"{train.duration:g} s long and a {tail:g} s tail") from exc
     s = dev._values(state)
     states = [s] + _fold_train(s, params, train, t0)
     # states[k] holds from pulse k-1 (inclusive) until pulse k.
     pieces = np.split(times, np.searchsorted(times, train.pulse_times(t0)))
     values = np.concatenate([dev._read(s, ts) for s, ts in zip(states, pieces)])
-    return DeviceState(*states[-1]), Trace(times, values, kind="conductance")
+    return DeviceState(*states[-1]), times, values
 
 
 def run_protocol(

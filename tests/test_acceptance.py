@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from memstp import device as dev
-from memstp import fitting, network, protocols as pr, tm
+from memstp import fitting, protocols as pr, tm
 from memstp.cli import main as cli_main
 from memstp.device import DeviceParams, Mode, Pulse
 from memstp.network import PatternOrder, PatternSpec, build_detector, monte_carlo
@@ -220,14 +220,15 @@ def test_criterion_10_error_mechanism(detector_batches):
 
 
 def test_criterion_11_coincidence_detector():
+    # The coincidence detector draws nothing: one trial is its outcome.
     net = build_detector("coincidence_detector")
-    overlap = network.run_trial(net, PatternSpec(order=PatternOrder.AB,
-                                                 gap=0.0))
+    p_overlap, _ = monte_carlo(net, PatternSpec(order=PatternOrder.AB,
+                                                gap=0.0), 1, seed=11)
     span = PatternSpec().train.duration
-    disjoint = network.run_trial(net, PatternSpec(order=PatternOrder.AB,
-                                                  gap=span + 2.0))
-    assert overlap.spiked
-    assert not disjoint.spiked
+    p_disjoint, _ = monte_carlo(net, PatternSpec(order=PatternOrder.AB,
+                                                 gap=span + 2.0), 1, seed=11)
+    assert p_overlap == 1.0
+    assert p_disjoint == 0.0
     report(11, "coincident trains spike, trains separated by 2 s do not")
 
 

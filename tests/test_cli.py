@@ -16,7 +16,6 @@ from memstp.device import EventLabel, Mode
 from memstp.fitting import FitResult
 from memstp.network import PatternOrder, TrialBatch
 from memstp.protocols import EventRecord
-from memstp.trace import Trace
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +74,9 @@ def test_override_round_trip_t_int(tmp_path):
 
 
 def test_emit_trace_line_count(tmp_path):
-    tr = Trace(np.array([0.0, 1e-3, 2e-3]), np.array([1.0, 2.0, 3.0]),
-               kind="conductance")
+    times, values = np.array([0.0, 1e-3, 2e-3]), np.array([1.0, 2.0, 3.0])
     path = emit_csv(tmp_path / "t.csv", "time_s,conductance_S",
-                    zip(tr.times, tr.values), "%.9g,%.9g")
+                    zip(times, values), "%.9g,%.9g")
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0] == "time_s,conductance_S"
@@ -114,13 +112,12 @@ def test_emit_event_records_round_trip(tmp_path):
 
 def test_emit_trace_round_trip_9_digits(tmp_path):
     rng = np.random.default_rng(0)
-    tr = Trace(np.linspace(0, 1, 50), rng.uniform(1e-7, 1e-5, 50),
-               kind="current")
+    values = rng.uniform(1e-7, 1e-5, 50)
     path = emit_csv(tmp_path / "t.csv", "time_s,current_A",
-                    zip(tr.times, tr.values), "%.9g,%.9g")
+                    zip(np.linspace(0, 1, 50), values), "%.9g,%.9g")
     lines = path.read_text().splitlines()[1:]
     vals = np.array([float(l.split(",")[1]) for l in lines])
-    assert np.allclose(vals, tr.values, rtol=1e-8, atol=0)
+    assert np.allclose(vals, values, rtol=1e-8, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +429,7 @@ def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.protocols, "run_protocol",
                         lambda *args: (records, None))
     monkeypatch.setattr(cli.protocols, "train_trace", lambda *args: (
-        None, Trace(times, vals, kind="conductance")))
+        None, np.array(times), np.array(vals)))
     out = simulate("fig2_stp", tmp_path / "fig2")
     assert (out / "events.csv").read_text() == _spelled(
         ["index", "g0_S", "g_post_S", "label", "peak_1", "peak_2", "peak_3"],
@@ -540,6 +537,24 @@ def test_unallocatable_trial_grid_names_its_fields(tmp_path, capsys, section,
     assert not out.exists()
 
 
+def test_unallocatable_sample_dt_names_it_and_writes_nothing(tmp_path,
+                                                            capsys):
+    # 1e-300 s asks for ~1e300 samples, which numpy refuses before it
+    # allocates anything.
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "preset": "fig2_stp", "overrides": {"plan": {"sample_dt": 1e-300}},
+        "out_dir": str(out)}))
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    for text in ("plan.sample_dt", "1.8e+300 samples", "over 1.80001 s",
+                 "a train 0.80001 s long and a 1 s tail"):
+        assert text in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_force_mode_override_runs_every_trial_in_that_mode(tmp_path,
                                                            monkeypatch):
     runs = []
@@ -556,8 +571,6 @@ def test_force_mode_override_runs_every_trial_in_that_mode(tmp_path,
     assert rc == 0
     assert len(runs) == 2
     assert all(len(batch) == 20 and batch.saturating.all() for batch in runs)
-    assert all(batch.record(i).mode is Mode.SATURATING
-               for batch in runs for i in range(len(batch)))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["overrides"]["network"]["force_mode"] == "saturating"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memstp.device import EventLabel, Mode
+from memstp.device import Mode
 from memstp.network import (
     MemristiveSynapse,
     PatternOrder,
@@ -10,7 +10,6 @@ from memstp.network import (
     StaticSynapse,
     build_detector,
     monte_carlo,
-    run_trial,
 )
 from memstp.protocols import PulseTrain
 
@@ -46,7 +45,7 @@ def test_unknown_topology_rejected():
 
 
 # ---------------------------------------------------------------------------
-# run_trial
+# Single trials: networks that draw nothing have one outcome
 # ---------------------------------------------------------------------------
 
 
@@ -55,46 +54,51 @@ def deterministic_net(**overrides):
                           force_mode=Mode.FACILITATING, **overrides)
 
 
+def one_trial(network, pattern, record_traces=False):
+    """The outcome of a network that draws nothing, as a 1-trial batch."""
+    _, batch = monte_carlo(network, pattern, 1, seed=0,
+                           record_traces=record_traces)
+    return batch
+
+
 def test_deterministic_facilitating_ba_spikes_ab_does_not():
     n = deterministic_net()
-    ba = run_trial(n, PatternSpec(order=PatternOrder.BA))
-    ab = run_trial(n, PatternSpec(order=PatternOrder.AB))
-    assert ba.spiked
-    assert not ab.spiked
+    assert one_trial(n, PatternSpec(order=PatternOrder.BA)).spiked[0]
+    assert not one_trial(n, PatternSpec(order=PatternOrder.AB)).spiked[0]
 
 
 def test_forced_saturating_ba_is_false_negative():
     n = build_detector("sequence_detector", g0_jitter=0.0,
                        force_mode=Mode.SATURATING)
-    rec = run_trial(n, PatternSpec(order=PatternOrder.BA))
-    assert not rec.spiked
-    assert rec.label is EventLabel.STP_S
+    batch = one_trial(n, PatternSpec(order=PatternOrder.BA))
+    assert not batch.spiked[0]
+    assert not batch.label[0]  # STP-S
 
 
 def test_zero_amplitude_flat_traces():
     n = deterministic_net()
     spec = PatternSpec(train=PulseTrain(n=3, v=0.0, w=1e-5, t_int=0.25))
-    rec = run_trial(n, spec)
-    assert not rec.spiked
-    v = rec.membrane.values
+    batch = one_trial(n, spec, record_traces=True)
+    assert not batch.spiked[0]
+    v = batch.membrane[0]
     assert np.max(v) - np.min(v) < 1e-12
-    g = rec.conductance.values
+    g = batch.conductance[0]
     assert np.max(g) - np.min(g) < 1e-18
 
 
 def test_trial_traces_share_time_base():
-    n = deterministic_net()
-    rec = run_trial(n, PatternSpec(order=PatternOrder.BA))
-    assert np.array_equal(rec.membrane.times, rec.conductance.times)
+    batch = one_trial(deterministic_net(), PatternSpec(order=PatternOrder.BA),
+                      record_traces=True)
+    assert batch.membrane.shape == batch.conductance.shape == (
+        1, batch.times.size)
 
 
 def test_label_consistency_on_trials():
     n = build_detector("sequence_detector")
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        rec = run_trial(n, PatternSpec(order=PatternOrder.BA), rng=rng)
-        assert rec.label in (EventLabel.STP_F, EventLabel.STP_S)
-        assert (rec.mode is Mode.SATURATING) == (rec.label is EventLabel.STP_S)
+    _, batch = monte_carlo(n, PatternSpec(order=PatternOrder.BA), 30, seed=5)
+    assert batch.label.dtype == bool
+    # Saturating trials are STP-S (label False), facilitating ones STP-F.
+    assert np.array_equal(batch.saturating, ~batch.label)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +167,12 @@ def test_control_topology_cannot_discriminate():
 
 def test_coincidence_detector():
     n = build_detector("coincidence_detector")
-    overlap = run_trial(n, PatternSpec(order=PatternOrder.AB, gap=0.0))
+    overlap = one_trial(n, PatternSpec(order=PatternOrder.AB, gap=0.0))
     train_span = PatternSpec().train.duration
-    disjoint = run_trial(n, PatternSpec(order=PatternOrder.AB,
+    disjoint = one_trial(n, PatternSpec(order=PatternOrder.AB,
                                         gap=train_span + 2.0))
-    assert overlap.spiked
-    assert not disjoint.spiked
+    assert overlap.spiked[0]
+    assert not disjoint.spiked[0]
 
 
 def test_pattern_gap_validation():

@@ -2,19 +2,19 @@
 
 ``reference_run_trial`` and ``reference_memristor_currents`` are the
 one-trial-at-a-time implementation that ``network.monte_carlo`` used before
-trials were batched, kept here unchanged as the oracle. Every column of the
-batch (g0, mode, label, spike counts and times, both traces) must equal the
-reference trial by trial, for every topology, for the off-operating-point
-settings that reach its per-trial mask branches, and across the edges of its
-blocks of steps. ``reference_monte_carlo`` feeds one seeded generator to the
-reference trials in trial order, which is the draw order of the batch's draw
-block.
+trials were batched, kept here as the oracle; each reference trial is a
+``RefTrial``. Every column of the batch (g0, mode, label, spike counts and
+times, both traces) must equal the reference trial by trial, for every
+topology, for the off-operating-point settings that reach its per-trial
+mask branches, and across the edges of its blocks of steps.
+``reference_monte_carlo`` feeds one seeded generator to the reference
+trials in trial order, which is the draw order of the batch's draw block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,16 +30,30 @@ from memstp.network import (
     PatternSpec,
     RCSynapse,
     StaticSynapse,
-    TrialRecord,
     build_detector,
 )
 from memstp.protocols import PulseTrain
-from memstp.trace import Trace
 
 
 # ---------------------------------------------------------------------------
 # Frozen per-trial reference
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class RefTrial:
+    """One reference trial. ``membrane`` and ``conductance`` are sampled at
+    ``times`` and are None unless traces were recorded."""
+
+    pattern: PatternOrder
+    spiked: bool
+    times: np.ndarray
+    membrane: Optional[np.ndarray]
+    conductance: Optional[np.ndarray]
+    label: Optional[EventLabel]
+    g0: float
+    mode: Optional[Mode]
+    spike_times: tuple[float, ...] = ()
 
 
 def reference_memristor_currents(
@@ -97,7 +111,7 @@ def reference_run_trial(
     rng: Optional[np.random.Generator] = None,
     dt: Optional[float] = None,
     record_traces: bool = True,
-) -> TrialRecord:
+) -> RefTrial:
     dt = network.dt if dt is None else dt
     train = pattern.train
     t_a = network.lead
@@ -147,16 +161,15 @@ def reference_run_trial(
     standing = sum(standing_g0) + sum(
         s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
     v0 = network.neuron.e_l + standing / network.neuron.g_l
-    times_out, v, spike_times = nrn.run_trace(network.neuron, total, dt, v0=v0)
+    times_out, (v,), (spike_times,) = nrn.run_traces(
+        network.neuron, total[None], dt, v0=v0)
 
-    membrane = Trace(times_out, v, kind="vmem") if record_traces else None
-    conductance = (
-        Trace(times_out, g_trace, kind="conductance")
-        if record_traces and g_trace is not None else None)
-    return TrialRecord(
-        pattern=pattern.order, spiked=bool(spike_times), membrane=membrane,
-        conductance=conductance, label=label_out, g0=g0_out, mode=mode_out,
-        spike_times=tuple(spike_times))
+    membrane = v if record_traces else None
+    conductance = g_trace if record_traces else None
+    return RefTrial(
+        pattern=pattern.order, spiked=bool(spike_times), times=times_out,
+        membrane=membrane, conductance=conductance, label=label_out,
+        g0=g0_out, mode=mode_out, spike_times=tuple(spike_times))
 
 
 def reference_monte_carlo(network, pattern, trials, seed):
@@ -165,20 +178,13 @@ def reference_monte_carlo(network, pattern, trials, seed):
             for _ in range(trials)]
 
 
-def assert_same_trace(a: Optional[Trace], b: Optional[Trace]) -> None:
-    if a is None or b is None:
-        assert a is None and b is None
-        return
-    assert a.kind == b.kind
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.values, b.values)
-
-
 def assert_batch_matches(batch: net.TrialBatch,
-                         want: Sequence[TrialRecord]) -> None:
-    """Every column of ``batch`` equals the records ``want``, trial by trial."""
+                         want: Sequence[RefTrial]) -> None:
+    """Every column of ``batch`` equals the trials ``want``, trial by trial."""
     assert len(batch) == len(want)
     assert all(w.pattern is batch.pattern for w in want)
+    assert all(np.array_equal(batch.times, w.times) for w in want)
+    assert batch.spiked.tolist() == [w.spiked for w in want]
     assert batch.g0.tolist() == [w.g0 for w in want]
     if want[0].mode is None:
         assert batch.saturating is None and batch.g_post is None
@@ -202,21 +208,22 @@ def assert_batch_matches(batch: net.TrialBatch,
             continue
         assert column.shape == (len(want), batch.times.size)
         for row, w in zip(column, want):
-            assert np.array_equal(row, getattr(w, name).values)
-    for i, w in enumerate(want):
-        assert_same_record(batch.record(i), w)
+            assert np.array_equal(row, getattr(w, name))
 
 
-def assert_same_record(got: TrialRecord, want: TrialRecord) -> None:
-    assert got.pattern is want.pattern
-    assert got.spiked is want.spiked
-    assert got.label is want.label
-    assert got.mode is want.mode
-    assert type(got.g0) is type(want.g0) and got.g0 == want.g0
-    assert got.spike_times == want.spike_times
-    assert all(type(t) is float for t in got.spike_times)
-    assert_same_trace(got.membrane, want.membrane)
-    assert_same_trace(got.conductance, want.conductance)
+def assert_batch_prefix(short: net.TrialBatch, long: net.TrialBatch) -> None:
+    """``short`` equals the first len(short) trials of ``long``, column by
+    column."""
+    n = len(short)
+    assert short.pattern is long.pattern
+    assert np.array_equal(short.times, long.times)
+    for name in ("n_spikes", "g0", "saturating", "g_post", "label",
+                 "membrane", "conductance"):
+        a, b = getattr(short, name), getattr(long, name)
+        assert (a is None and b is None) or np.array_equal(a, b[:n])
+    assert np.array_equal(short.spike_offsets, long.spike_offsets[:n + 1])
+    assert np.array_equal(short.spike_times,
+                          long.spike_times[:short.spike_offsets[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +261,11 @@ CASES = {
     "coincidence_drawn": lambda: with_device(
         build_detector("coincidence_detector", force_mode=None,
                        g0_jitter=0.02e-6), e0=0.5e-9),
-    # Draws nothing, like control and coincidence: one simulated row.
+    # Draw nothing, like control and coincidence: one simulated row.
     "forced_unjittered": lambda: build_detector(
         "sequence_detector", force_mode=Mode.SATURATING, g0_jitter=0.0),
+    "unjittered_facilitating": lambda: build_detector(
+        "sequence_detector", force_mode=Mode.FACILITATING, g0_jitter=0.0),
 }
 
 
@@ -330,25 +339,30 @@ def test_monte_carlo_prefix_independent_of_trial_count(case):
     pattern = PatternSpec(order=PatternOrder.BA)
     _, short = net.monte_carlo(network, pattern, 40, seed=11)
     _, long = net.monte_carlo(network, pattern, 100, seed=11)
-    assert_batch_matches(short, [long.record(i) for i in range(40)])
+    assert len(short) == 40 and len(long) == 100
+    assert_batch_prefix(short, long)
 
 
 @pytest.mark.parametrize("v", [0.0, 0.5, -4.0])
-def test_run_trial_matches_reference_without_rng(v):
-    network = build_detector("sequence_detector")
+@pytest.mark.parametrize("case", ["unjittered_facilitating", "control",
+                                  "coincidence", "forced_unjittered"])
+def test_one_trial_without_draws_matches_reference(case, v):
+    # The reference without a generator starts every memristor unjittered
+    # and Facilitating unless a mode is forced: the trial of a network that
+    # draws nothing.
+    network = CASES[case]()
     pattern = PatternSpec(train=PulseTrain(n=3, v=v, w=10e-6, t_int=0.25))
-    assert_same_record(net.run_trial(network, pattern),
-                       reference_run_trial(network, pattern))
+    _, got = net.monte_carlo(network, pattern, 1, seed=0, record_traces=True)
+    assert_batch_matches(got, [reference_run_trial(network, pattern)])
 
 
-def test_run_trial_matches_reference_with_rng_and_dt():
+def test_one_trial_matches_reference_with_draws_and_dt():
     network = build_detector("sequence_detector")
     pattern = PatternSpec()
-    got = net.run_trial(replace(network, dt=5e-4), pattern,
-                        rng=np.random.default_rng(4), record_traces=False)
+    _, got = net.monte_carlo(replace(network, dt=5e-4), pattern, 1, seed=4)
     want = reference_run_trial(network, pattern, rng=np.random.default_rng(4),
                                dt=5e-4, record_traces=False)
-    assert_same_record(got, want)
+    assert_batch_matches(got, [want])
 
 
 def test_barrier_case_crosses_at_different_pulses():

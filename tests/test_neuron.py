@@ -42,7 +42,7 @@ def test_lif_spike_time_matches_closed_form():
     i_in = 1.5e-6  # v_inf = 1.5 V > v_peak
     dt = tau_m / 1000.0
     n = int(5 * tau_m / dt)
-    _, _, spikes = nrn.run_trace(p, np.full(n, i_in), dt)
+    _, _, (spikes,) = nrn.run_traces(p, np.full((1, n), i_in), dt)
     v_inf = p.e_l + i_in / p.g_l
     t_star = tau_m * math.log((v_inf - p.e_l) / (v_inf - p.v_peak))
     assert spikes[0] == pytest.approx(t_star, rel=0.02)
@@ -54,7 +54,7 @@ def test_lif_trace_matches_exact_exponential():
     i_in = 1.0e-6
     dt = p.tau_m / 1000.0
     n = 3000
-    times, v, _ = nrn.run_trace(p, np.full(n, i_in), dt)
+    times, (v,), _ = nrn.run_traces(p, np.full((1, n), i_in), dt)
     v_inf = p.e_l + i_in / p.g_l
     exact = v_inf * (1.0 - np.exp(-times / p.tau_m))
     assert np.max(np.abs(v - exact)) < 0.005 * v_inf
@@ -68,7 +68,7 @@ def test_spike_fires_at_exactly_v_peak():
                           v_peak=(dt / NeuronParams().c_m) * i)
     _, spiked = nrn.step(NeuronState(v_m=0.0), params, i, dt, t=dt)
     assert spiked
-    _, _, spikes = nrn.run_trace(params, np.full(3, i), dt, v0=0.0)
+    _, _, (spikes,) = nrn.run_traces(params, np.full((1, 3), i), dt, v0=0.0)
     assert spikes[:1] == [dt]
 
 
@@ -77,12 +77,12 @@ def test_dt_stability_contract_rejected():
     with pytest.raises(ValueError, match="stability"):
         nrn.step(NeuronState(v_m=0.0), p, 0.0, p.tau_m)
     with pytest.raises(ValueError):
-        nrn.run_trace(p, np.zeros(10), p.tau_m)
+        nrn.run_traces(p, np.zeros((1, 10)), p.tau_m)
 
 
 def test_zero_current_trace_flat_no_spikes():
     p = lif_params()
-    _, v, spikes = nrn.run_trace(p, np.zeros(500), 1e-3)
+    _, (v,), (spikes,) = nrn.run_traces(p, np.zeros((1, 500)), 1e-3)
     assert spikes == []
     assert np.allclose(v, p.e_l, atol=1e-15)
 
@@ -90,7 +90,7 @@ def test_zero_current_trace_flat_no_spikes():
 def test_refractory_isi_floor():
     p = lif_params(t_ref=7e-3)
     # hard drive: spikes as fast as the refractory period allows
-    _, _, spikes = nrn.run_trace(p, np.full(5000, 5e-6), 1e-3)
+    _, _, (spikes,) = nrn.run_traces(p, np.full((1, 5000), 5e-6), 1e-3)
     isi = np.diff(spikes)
     assert len(spikes) > 3
     assert np.all(isi >= p.t_ref)
@@ -104,8 +104,8 @@ def test_exponential_term_accelerates_spiking():
     i_in = 1.2e-6
     dt = 1e-4
     n = 50000
-    _, _, spk_exp = nrn.run_trace(p_exp, np.full(n, i_in), dt)
-    _, _, spk_lif = nrn.run_trace(p_lif, np.full(n, i_in), dt)
+    _, _, (spk_exp,) = nrn.run_traces(p_exp, np.full((1, n), i_in), dt)
+    _, _, (spk_lif,) = nrn.run_traces(p_lif, np.full((1, n), i_in), dt)
     assert spk_exp and spk_lif
     assert spk_exp[0] < spk_lif[0]
 
@@ -126,7 +126,7 @@ def test_three_increasing_charge_pulses_increasing_membrane_peaks():
     current = np.zeros(n)
     for k, scale in enumerate((1.0, 1.4, 1.8)):
         current[int(0.1 / dt) + int(0.4 / dt) * k] = 2e-6 * scale
-    _, v, _ = nrn.run_trace(p, current, dt)
+    _, (v,), _ = nrn.run_traces(p, current[None], dt)
     segs = [v[int(0.1 / dt) + int(0.4 / dt) * k:
                int(0.1 / dt) + int(0.4 / dt) * (k + 1)] for k in range(3)]
     peaks = [float(np.max(s)) for s in segs]
@@ -142,8 +142,8 @@ def test_monotone_drive_never_fewer_spikes(seed, scale):
     p = lif_params(t_ref=0.0, v_peak=0.4, v_t=0.4)
     rng = np.random.default_rng(seed)
     current = rng.uniform(0.0, 0.9e-6, 2500)
-    _, _, spk_small = nrn.run_trace(p, current, 1e-3)
-    _, _, spk_big = nrn.run_trace(p, scale * current, 1e-3)
+    _, _, (spk_small, spk_big) = nrn.run_traces(
+        p, np.stack([current, scale * current]), 1e-3)
     assert len(spk_big) >= len(spk_small)
 
 
@@ -156,7 +156,7 @@ def test_fast_path_matches_step_loop_exactly(dt, t_ref):
     p = lif_params(v_peak=0.3, v_t=0.3, t_ref=t_ref)
     rng = np.random.default_rng(1)
     current = rng.uniform(0.0, 1.2e-6, 4000)
-    _, v_fast, spk_fast = nrn.run_trace(p, current, dt)
+    _, (v_fast,), (spk_fast,) = nrn.run_traces(p, current[None], dt)
     s = NeuronState(v_m=p.e_l)
     v_loop, spk_loop = [], []
     for k in range(current.size):
@@ -207,16 +207,17 @@ def test_batched_lif_rows_match_one_membrane_filter(t_ref):
         want_v, want_idx = reference_lif(p, current[row], dt, v0[row])
         assert np.array_equal(v[row], want_v)
         assert spikes[row] == [float(times[k]) for k in want_idx]
-        _, v_one, spk_one = nrn.run_trace(p, current[row], dt, v0=v0[row])
+        _, (v_one,), (spk_one,) = nrn.run_traces(p, current[row, None], dt,
+                                                 v0=v0[row])
         assert np.array_equal(v_one, want_v) and spk_one == spikes[row]
 
 
-def test_batched_exponential_rows_match_run_trace():
+def test_batched_exponential_rows_match_one_row_runs():
     p = lif_params(delta_t=0.05, v_t=0.25, v_peak=0.3, t_ref=3e-3)
     current = np.random.default_rng(3).uniform(0.0, 1.0e-6, (3, 600))
     _, v, spikes = nrn.run_traces(p, current, 1e-3)
     for row in range(3):
-        _, v_one, spk_one = nrn.run_trace(p, current[row], 1e-3)
+        _, (v_one,), (spk_one,) = nrn.run_traces(p, current[row, None], 1e-3)
         assert np.array_equal(v[row], v_one) and spikes[row] == spk_one
 
 
