@@ -460,10 +460,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
               ("converged", res.converged), ("iterations", res.iterations)],
              "%s,%.9g")
     print(f"fit {args.kind}: converged={res.converged} sse={res.sse:.6g}")
-    if not res.converged:
-        print(f"  {res.message}")
     for k, val in res.params.items():
         print(f"  {k} = {val:.6g}")
+    if not res.converged:
+        print(f"fit {args.kind} did not converge: {res.message}",
+              file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

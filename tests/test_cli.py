@@ -309,13 +309,25 @@ def test_fit_decay_on_one_time_reports_why(tmp_path, capsys, t0):
             f"{t0},{g}\n" for g in ("3.1e-6", "3.0e-6", "2.95e-6")))
     rc = main(["fit", "decay", "--input", str(tmp_path / "in.csv"),
                "--g-eq", "2.9e-6", "--out", str(tmp_path / "fit")])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "fewer than 2 distinct times" in captured.out
-    assert captured.err == ""
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "fit decay did not converge: fewer than 2 distinct times" in err
     rows = (tmp_path / "fit" / "fit_decay.csv").read_text().splitlines()
     assert rows[1:4] == ["tau_d,nan", "amplitude,nan", "sse,0"]
     assert rows[4] == "converged,0"
+
+
+def test_fit_tm_on_constant_peaks_is_runtime_error(tmp_path, capsys):
+    (tmp_path / "in.csv").write_text("spike_time_s,peak\n" + "".join(
+        f"{t},0.2\n" for t in ("0.0", "0.4", "0.8", "1.2")))
+    rc = main(["fit", "tm", "--input", str(tmp_path / "in.csv"),
+               "--out", str(tmp_path / "fit")])
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "fit tm did not converge: peaks constant" in err
+    assert "Traceback" not in err
+    rows = (tmp_path / "fit" / "fit_tm.csv").read_text().splitlines()
+    assert "converged,0" in rows
 
 
 def test_sweep_iv_runs(tmp_path):
@@ -489,7 +501,7 @@ def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path, monkeypatch):
     (tmp_path / "in.csv").write_text(
         ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
     assert main(["fit", "decay", "--input", str(tmp_path / "in.csv"),
-                 "--out", str(tmp_path / "fit"), *extra]) == 0
+                 "--out", str(tmp_path / "fit"), *extra]) == cli.EXIT_RUNTIME
     assert (tmp_path / "fit" / "fit_decay.csv").read_text() == (
         "parameter,value\ntau_d,nan\namplitude,-inf\noffset,-0\n"
         "ceiling,inf\nsse,1e-310\nconverged,0\niterations,4000\n")

@@ -130,6 +130,62 @@ def test_fit_tm_never_worse_than_true_params(a, u_cap, tau_rec, tau_f, seed):
         "tau_rec": (1e-3, 100.0), "tau_f": (1e-3, 100.0)})
 
 
+def _all_starts_oracle(peaks, spike_times):
+    """fit_tm with every start run to convergence, lowest SSE kept.
+
+    Calls ``fitting._least_squares`` with one start at a time, which takes
+    its unstaged path, so this is the multi-start that the staged one
+    (probe every start, continue the best few) must not fall behind.
+    """
+    staged = fitting._least_squares
+
+    def each_start(model, y, starts, bounds, names):
+        return min((staged(model, y, [s], bounds, names) for s in starts),
+                   key=lambda res: res.sse)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_least_squares", each_start)
+        return fitting.fit_tm(peaks, spike_times)
+
+
+@pytest.mark.parametrize("spikes", [VARIED_SPIKES,
+                                    [0.05 * k for k in range(6)]],
+                         ids=["varied", "six_50ms"])
+def test_fit_tm_staged_starts_match_all_starts_oracle(spikes):
+    # Seeded draws from the property-test ranges, 1% multiplicative noise.
+    rng = np.random.default_rng(1013)
+    misses = []
+    for draw in range(40):
+        a, u_cap, tau_rec, tau_f = rng.uniform([0.05, 0.02, 0.005, 0.005],
+                                               [20.0, 0.95, 3.0, 3.0])
+        clean = np.array(tm.peaks_for_train(
+            tm.TMParams(a=a, u_cap=u_cap, tau_rec=tau_rec, tau_f=tau_f),
+            spikes))
+        noisy = list(clean * (1.0 + 0.01 * rng.standard_normal(clean.size)))
+        sse = fitting.fit_tm(noisy, spikes).sse
+        sse_oracle = _all_starts_oracle(noisy, spikes).sse
+        floor = 1e-12 * float(np.sum(np.square(noisy)))
+        if sse > sse_oracle * (1.0 + 1e-6) + floor:
+            misses.append((draw, sse, sse_oracle))
+    assert misses == []
+
+
+def test_fit_tm_three_rising_peaks_bounded_cost(monkeypatch):
+    # The best fit lies at tau_f -> infinity: run to convergence, half of the
+    # twelve starts crawl toward the tau_f bound (32,477 model evaluations).
+    calls = []
+    exact = tm.peaks_with_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(tm, "peaks_with_jacobian", counted)
+    res = fitting.fit_tm([0.2, 0.25, 0.3], [0.0, 0.05, 0.1])
+    assert len(calls) <= 2000
+    assert res.sse <= 3.0263e-4
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fits_reject_non_finite_inputs(bad):
     with pytest.raises(ValueError, match="finite"):
