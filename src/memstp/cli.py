@@ -377,7 +377,10 @@ def _run_iv_preset(config: RunConfig, out: Path) -> dict:
     return {"device": _jsonable(params), "dt": dt, "v_peak": 2.0}
 
 
-def run_config(config: RunConfig) -> int:
+def run_config(config: RunConfig,
+               patterns: Sequence[PatternOrder] = tuple(PatternOrder)) -> int:
+    """Run ``config``'s preset (a detector preset runs the given pattern
+    orders), then write its manifest."""
     out = Path(config.out_dir)
     if config.preset in ("fig2_stp", "fig2f_drift"):
         resolved = _run_protocol_preset(config, out)
@@ -386,8 +389,7 @@ def run_config(config: RunConfig) -> int:
     elif config.preset == "fig3b_amplitude":
         resolved = _run_amplitude_preset(config, out)
     elif config.preset in _TOPOLOGY_BY_PRESET:
-        resolved = _run_detector_preset(
-            config, out, (PatternOrder.AB, PatternOrder.BA))
+        resolved = _run_detector_preset(config, out, patterns)
     else:
         resolved = _run_iv_preset(config, out)
     write_manifest(out, config, resolved)
@@ -424,12 +426,16 @@ def _read_csv_columns(path: str, columns: Sequence[str]) -> list[np.ndarray]:
     return out
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _read_config(path: str) -> RunConfig:
     try:
-        text = Path(args.config).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    config = parse_config(text)
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    config = _read_config(args.config)
     if args.seed is not None:
         _check_seed(args.seed, "--seed")
         config.seed = args.seed
@@ -481,21 +487,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     _check_count(args.threads, "--threads")
     config = RunConfig(preset=_TOPOLOGY_CHOICES[args.topology], seed=args.seed,
                        out_dir=args.out, trials=args.trials)
-    out = Path(config.out_dir)
-    resolved = _run_detector_preset(config, out, _PATTERN_CHOICES[args.pattern])
-    write_manifest(out, config, resolved)
-    return EXIT_OK
+    return run_config(config, _PATTERN_CHOICES[args.pattern])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = {"iv": "iv_sweep", "decay": "fig3a_decay",
               "amplitude": "fig3b_amplitude"}[args.kind]
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        config = parse_config(text)
+        config = _read_config(args.config)
         if config.preset != preset:
             raise ConfigError(
                 f"sweep {args.kind} expects preset {preset!r}, "

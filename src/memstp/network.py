@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -151,10 +151,11 @@ class TrialBatch:
     forced mode), ``g_post`` and ``label`` (True for STP-F: g_post >= g0,
     the ``classify_event`` tie rule) describe the first memristive synapse;
     the last three are None when there is none. Trial i's spike times are
-    ``spike_times[spike_offsets[i]:spike_offsets[i + 1]]``. ``membrane`` and
-    ``conductance`` are (trials, steps) arrays sampled at ``times`` when
-    traces were recorded. A batch of identical trials shares one row, so
-    its columns are read-only broadcasts.
+    ``spike_times[spike_offsets[i]:spike_offsets[i + 1]]``. Recorded
+    (trials, steps) traces: ``membrane[:, k]`` is v at ``times[k]``, the end
+    of step k; ``conductance[:, k]`` is G at ``times[k] - dt``, which drives
+    step k. A batch of identical trials shares one row, so its columns are
+    read-only broadcasts.
     """
 
     pattern: PatternOrder
@@ -293,6 +294,11 @@ def _initial_draws(
     return g_eq0, saturating
 
 
+def _charge(g, train: PulseTrain, dt: float):
+    """g*|v|*w/dt: one pulse's charge through ``g`` as one step's current."""
+    return g * abs(train.v) * train.w / dt
+
+
 def _memristor_currents(
     syn: MemristiveSynapse,
     g_eq0: np.ndarray,
@@ -304,15 +310,15 @@ def _memristor_currents(
     include_write_charge: bool,
     g_post_delay: float,
     g_out: Optional[np.ndarray] = None,
-) -> tuple[Iterator[np.ndarray], np.ndarray]:
+) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
     """Event-driven simulation of a batch of fresh devices, read out on the
     sample grid. Device r starts at g_eq0[r], Saturating where
     saturating[r]; all see the same pulses.
 
-    Returns an iterator over the grid in blocks of ``nrn._block_steps``
-    steps that yields every device's current as a (steps, devices) block
-    (and fills columns of ``g_out`` with the conductances, if given), and
-    the conductance of each device g_post_delay after its last pulse.
+    Returns ``current(a, b)``, every device's current on the steps a..b-1
+    of the grid as a (b - a, devices) array (filling those columns of
+    ``g_out`` with the conductances, if given), and the conductance of each
+    device g_post_delay after its last pulse.
     """
     params = syn.params
     rows = g_eq0.size
@@ -321,55 +327,43 @@ def _memristor_currents(
     s = dev._values(replace(dev.initial_state(params), g_eq=g_eq0,
                             delta_g=np.zeros(rows), acc=np.zeros(rows),
                             mode=modes))
-
-    # Piecewise segments: segment j starts at seg_starts[j] with g_eqs[j],
-    # delta_gs[j] and tau_ds[j]; segment 0 is the fresh device, segment j > 0
-    # follows pulse j.
-    n_seg = len(pulse_times) + 1
-    seg_starts, tau_ds = np.empty(n_seg), np.empty(n_seg)
-    g_eqs, delta_gs = np.empty((n_seg, rows)), np.empty((n_seg, rows))
-    seg_starts[0] = grid[0] if grid.size else 0.0
-    g_eqs[0], delta_gs[0], tau_ds[0] = s[0], s[3], s[4]
-    for j, t in enumerate(pulse_times, 1):
+    states = [s]  # the fresh device, then the state after each pulse
+    for t in pulse_times:
         s, _ = dev._pulse_step(s, params, t, train.v, train.w)
-        seg_starts[j] = t
-        g_eqs[j], delta_gs[j], tau_ds[j] = s[0], s[3], s[4]
+        states.append(s)
     g_post = dev._read(s, pulse_times[-1] + g_post_delay)
-    # (segment, step) of each pulse: its write charge lands on that step.
-    pulse_steps = _pulse_step_indices(pulse_times, dt, grid.size)
-    charges = list(enumerate(pulse_steps, 1)) if include_write_charge else []
+    # State j is read on the samples edges[j]:edges[j + 1]; of it the run
+    # keeps only (g_eq, delta_g) and exp(-(t - t_last)/tau_d) per sample.
+    edges = [0, *np.searchsorted(grid, pulse_times).tolist(), grid.size]
+    spans = list(zip(edges, edges[1:]))
+    relax = np.concatenate([np.exp(-(grid[lo:hi] - s[7]) / s[4])
+                            for s, (lo, hi) in zip(states, spans)])
+    segments = [(s[0], s[3], lo, hi) for s, (lo, hi) in zip(states, spans)]
+    # (step, segment) of each pulse: its write charge, through the
+    # conductance right after it, lands on that step.
+    charges = (list(zip(_pulse_step_indices(pulse_times, dt, grid.size),
+                        segments[1:])) if include_write_charge else [])
 
-    # Sample k belongs to the latest segment whose start time <= grid[k], so
-    # segment j holds the samples edges[j]:edges[j + 1].
-    which = np.clip(np.searchsorted(seg_starts, grid, side="right") - 1,
-                    0, n_seg - 1)
-    relax = np.exp(-(grid - seg_starts[which]) / tau_ds[which])
-    edges = np.searchsorted(which, np.arange(n_seg + 1)).tolist()
-    step = nrn._block_steps(rows)
-
-    def blocks() -> Iterator[np.ndarray]:
-        for a in range(0, grid.size, step):
-            b = min(a + step, grid.size)
-            g = np.empty((b - a, rows))
-            for j in range(which[a], which[b - 1] + 1):
-                lo, hi = max(a, edges[j]), min(b, edges[j + 1])
+    def current(a: int, b: int) -> np.ndarray:
+        g = np.empty((b - a, rows))
+        for g_eq, delta_g, lo, hi in segments:
+            lo, hi = max(a, lo), min(b, hi)
+            if lo < hi:
                 # g = g_eq + delta_g*relax, the same floats computed in
                 # place, on basic slices: a gather over the block costs more
                 # than the arithmetic.
-                piece = np.multiply(delta_gs[j], relax[lo:hi, None],
+                piece = np.multiply(delta_g, relax[lo:hi, None],
                                     out=g[lo - a:hi - a])
-                piece += g_eqs[j]
-            if g_out is not None:
-                g_out[:, a:b] = g.T
-            current = g
-            current *= syn.read_v
-            for j, k in charges:
-                if a <= k < b:
-                    current[k - a] += ((g_eqs[j] + delta_gs[j]) * abs(train.v)
-                                       * train.w / dt)
-            yield current
+                piece += g_eq
+        if g_out is not None:
+            g_out[:, a:b] = g.T
+        g *= syn.read_v
+        for k, (g_eq, delta_g, _, _) in charges:
+            if a <= k < b:
+                g[k - a] += _charge(g_eq + delta_g, train, dt)
+        return g
 
-    return blocks(), g_post
+    return current, g_post
 
 
 def _static_currents(
@@ -379,10 +373,10 @@ def _static_currents(
     grid: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """The pulse charge g*|v|*w delivered as a current on each pulse step."""
+    """The pulse charge delivered as a current on each pulse step."""
     current = np.zeros(grid.size)
     for k in _pulse_step_indices(pulse_times, dt, grid.size):
-        current[k] += syn.g * abs(train.v) * train.w / dt
+        current[k] += _charge(syn.g, train, dt)
     return current
 
 
@@ -463,38 +457,35 @@ def monte_carlo(
     rows = g_eq0.shape[1]
     draws = iter(zip(g_eq0, saturating))
     g_trace = np.empty((rows, n)) if record_traces and mem_params else None
-    step = nrn._block_steps(rows)
-    sources = []  # per synapse: its current in blocks of steps
-    standing_g0 = []
+    currents = []  # per synapse: current(a, b) of the steps a..b-1
+    standing = 0.0  # the read-bias current before the first pulse
     first = None  # (g0, saturating, g_post) of the first memristor
     for idx, syn in enumerate(network.synapses):
         times = train.pulse_times(starts[idx])
         if isinstance(syn, MemristiveSynapse):
             g_init, sat_init = next(draws)
-            blocks, g_post = _memristor_currents(
+            current, g_post = _memristor_currents(
                 syn, g_init, sat_init, times, train, grid, dt,
                 network.include_write_charge, network.g_post_delay,
                 g_out=g_trace if first is None else None)
-            sources.append(blocks)
-            standing_g0.append(g_init * syn.read_v)
+            standing += g_init * syn.read_v
             if first is None:
                 first = (g_init, sat_init, g_post)
         else:
-            current = (_static_currents if isinstance(syn, StaticSynapse)
-                       else _rc_currents)(syn, times, train, grid, dt)
-            # (steps, 1) blocks: one column shared by all trials.
-            sources.append([current[a:a + step, None]
-                            for a in range(0, n, step)])
+            # One (steps, 1) column shared by all trials.
+            column = (_static_currents if isinstance(syn, StaticSynapse)
+                      else _rc_currents)(syn, times, train, grid, dt)[:, None]
+            current = lambda a, b, column=column: column[a:b]
+            if isinstance(syn, RCSynapse):
+                standing += syn.g * syn.read_v
+        currents.append(current)
 
-    rc_standing = sum(
-        s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
-    standing = sum(standing_g0) + rc_standing
     v0 = np.broadcast_to(network.neuron.e_l + standing / network.neuron.g_l,
                          (rows,))
     v = np.empty((rows, n)) if record_traces else None
-    total = (sum(blocks) for blocks in zip(*sources))  # per block of steps
     times_out, spike_times, offsets = nrn._integrate(
-        network.neuron, total, dt, v0, v)
+        network.neuron, lambda a, b: sum(f(a, b) for f in currents), n, dt,
+        v0, v)
 
     n_spikes = np.diff(offsets)
     if rows < trials:  # one distinct trial: every trial is row 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -113,22 +113,24 @@ def step(
 
 def _integrate(
     params: NeuronParams,
-    blocks: Iterable[np.ndarray],
+    current: Callable[[int, int], np.ndarray],
+    steps: int,
     dt: float,
     v0: np.ndarray,
     v_out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance one membrane per entry of ``v0`` through ``blocks``, which
-    yield the input current as consecutive time-major (steps, rows) blocks,
-    with a row per membrane or one row for all of them.
+    """Advance one membrane per entry of ``v0`` for ``steps`` steps.
 
-    The drive coef*(g_l*e_l + i) of a whole block is computed at once. Each
-    of its steps is then ``step`` over the batch: v = drive + alpha*v, plus
-    the capped exponential term if delta_t > 0, then spike, reset and
-    ceil(t_ref/dt) refractory steps. Fills column k of ``v_out`` with step
-    k's membranes if given. Returns (step-end times, the spike times of all
-    rows in row order, row offsets): row r's spike times are
-    ``spike_times[offsets[r]:offsets[r + 1]]``.
+    ``current(a, b)`` is the input current of steps a..b-1 as a time-major
+    (b - a, rows) array, with a row per membrane or one row for all of
+    them. It is asked for consecutive blocks of ``_block_steps(rows)`` steps
+    that cover the run once. The drive coef*(g_l*e_l + i) of a whole block
+    is computed at once. Each of its steps is then ``step`` over the batch:
+    v = drive + alpha*v, plus the capped exponential term if delta_t > 0,
+    then spike, reset and ceil(t_ref/dt) refractory steps. Fills column k of
+    ``v_out`` with step k's membranes if given. Returns (step-end times, the
+    spike times of all rows in row order, row offsets): row r's spike times
+    are ``spike_times[offsets[r]:offsets[r + 1]]``.
     """
     _check_dt(params, dt)
     alpha = 1.0 - dt * params.g_l / params.c_m
@@ -138,17 +140,15 @@ def _integrate(
     ref_steps = math.ceil(params.t_ref / dt)  # as in step
     held = np.zeros(v0.shape, dtype=int)  # refractory steps still to serve
     busy = 0  # steps until no membrane is refractory
-    count = np.zeros(v0.shape, dtype=int)  # spikes so far, per row
-    # Per spike step: the step, the rows that fired, and each one's count of
-    # earlier spikes.
-    fired_steps: list[int] = []
-    fired_rows: list[np.ndarray] = []
-    ranks: list[np.ndarray] = []
+    # Per spike step: the step, once per row that fired, and those rows.
+    fired_steps: list[np.ndarray] = [np.zeros(0, dtype=int)]
+    fired_rows: list[np.ndarray] = [np.zeros(0, dtype=int)]
     v = np.array(v0, dtype=float)
     scaled = np.empty_like(v)
-    k = 0
-    for block in blocks:
-        for drive in coef * (rest + block):
+    block = _block_steps(v.size)
+    for a in range(0, steps, block):
+        for k, drive in enumerate(
+                coef * (rest + current(a, min(a + block, steps))), a):
             if exp_gain > 0.0:
                 drive = drive + exp_gain * np.exp(
                     np.minimum((v - params.v_t) / params.delta_t, _EXP_ARG_MAX))
@@ -166,22 +166,17 @@ def _integrate(
                 v[fired] = params.v_reset
                 held[fired] = ref_steps
                 busy = ref_steps
-                fired_steps.append(k)
+                fired_steps.append(np.full(fired.size, k))
                 fired_rows.append(fired)
-                ranks.append(count[fired])
-                count[fired] += 1
             if v_out is not None:
                 v_out[:, k] = v
-            k += 1
-    times = dt * np.arange(1, k + 1)
+    times = dt * np.arange(1, steps + 1)
+    rows = np.concatenate(fired_rows)
+    # A stable sort by row keeps each row's spikes in step order.
+    order = np.argsort(rows, kind="stable")
     offsets = np.zeros(v.size + 1, dtype=int)
-    np.cumsum(count, out=offsets[1:])
-    spike_times = np.empty(offsets[-1])
-    if fired_steps:
-        rows = np.concatenate(fired_rows)
-        spike_times[offsets[rows] + np.concatenate(ranks)] = times[np.repeat(
-            fired_steps, [f.size for f in fired_rows])]
-    return times, spike_times, offsets
+    np.cumsum(np.bincount(rows, minlength=v.size), out=offsets[1:])
+    return times, times[np.concatenate(fired_steps)[order]], offsets
 
 
 def run_traces(
@@ -202,9 +197,7 @@ def run_traces(
     v0 = np.broadcast_to(np.asarray(params.e_l if v0 is None else v0,
                                     dtype=float), current.shape[:1])
     v = np.empty(current.shape)
-    step = _block_steps(current.shape[0])
-    blocks = (current[:, a:a + step].T
-              for a in range(0, current.shape[1], step))
-    times, spike_times, offsets = _integrate(params, blocks, dt, v0, v)
+    times, spike_times, offsets = _integrate(
+        params, lambda a, b: current[:, a:b].T, current.shape[1], dt, v0, v)
     return times, v, [spike_times[a:b].tolist()
                       for a, b in zip(offsets[:-1], offsets[1:])]

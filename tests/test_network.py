@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from memstp.device import Mode
+from memstp import device as dev
+from memstp.device import Mode, Pulse
 from memstp.network import (
     MemristiveSynapse,
     PatternOrder,
@@ -91,6 +92,27 @@ def test_trial_traces_share_time_base():
                       record_traces=True)
     assert batch.membrane.shape == batch.conductance.shape == (
         1, batch.times.size)
+
+
+def test_trace_columns_membrane_at_times_conductance_one_step_earlier():
+    # membrane[:, k] is v at times[k], the end of step k; conductance[:, k]
+    # is G at times[k] - dt, the start of step k, the value that drives it.
+    n = deterministic_net()
+    pattern = PatternSpec(order=PatternOrder.BA)
+    batch = one_trial(n, pattern, record_traces=True)
+    k = round(n.lead / n.dt)  # the step of B's first pulse
+    assert batch.times[k] == pytest.approx(n.lead + n.dt)
+    params = n.synapses[1].params
+    after, _ = dev.apply_pulse(dev.initial_state(params), params,
+                               Pulse(n.lead, pattern.train.v, pattern.train.w))
+    g, v = batch.conductance[0], batch.membrane[0]
+    assert g[k - 1] == params.g_eq0
+    for j in (k, k + 1, k + 50):
+        assert g[j] == pytest.approx(
+            dev.conductance(after, batch.times[j] - n.dt), rel=1e-12, abs=0.0)
+    # The pulse's write charge lands on step k, so v jumps at times[k].
+    assert v[k - 1] == pytest.approx(v[k - 2], abs=1e-12)
+    assert v[k] - v[k - 1] > 1e-3
 
 
 def test_label_consistency_on_trials():

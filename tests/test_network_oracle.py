@@ -320,9 +320,9 @@ def test_batch_without_draws_gives_every_trial_one_row(case, monkeypatch):
     rows = []
     integrate = nrn._integrate
 
-    def counting_integrate(params, blocks, dt, v0, v_out=None):
+    def counting_integrate(params, current, steps, dt, v0, v_out=None):
         rows.append(v0.size)
-        return integrate(params, blocks, dt, v0, v_out)
+        return integrate(params, current, steps, dt, v0, v_out)
 
     monkeypatch.setattr(nrn, "_integrate", counting_integrate)
     _, got = net.monte_carlo(network, pattern, 25, seed=3, record_traces=True)

@@ -250,3 +250,38 @@ def test_exponential_rows_match_step_loop():
                 spk_loop.append(float(times[k]))
         np.testing.assert_allclose(v[row], v_loop, rtol=0.0, atol=1e-12)
         assert spikes[row] == spk_loop
+
+
+def test_integrate_asks_for_each_step_once_in_consecutive_blocks(monkeypatch):
+    p = lif_params(v_peak=0.3, v_t=0.3, t_ref=3e-3)
+    rows, dt = 700, 1e-3
+    block = nrn._block_steps(rows)
+    steps = 5 * block + 3  # not a whole number of blocks
+    rng = np.random.default_rng(5)
+    current = rng.uniform(0.0, 1.2e-6, (rows, steps))
+    v0 = rng.uniform(0.0, 0.29, rows)
+    calls = []
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return current[:, a:b].T
+
+    v = np.empty((rows, steps))
+    times, spike_times, offsets = nrn._integrate(p, recorded, steps, dt, v0, v)
+    assert len(calls) == 6 and calls[0][0] == 0 and calls[-1][1] == steps
+    assert all(a < b for a, b in calls)
+    assert all(b == a for (_, b), (a, _) in zip(calls, calls[1:]))
+    assert np.max(np.diff(offsets)) > 1  # rows with several spikes
+
+    monkeypatch.setattr(nrn, "_block_steps", lambda rows: steps)
+    v_one = np.empty_like(v)
+    one = nrn._integrate(p, lambda a, b: current[:, a:b].T, steps, dt, v0,
+                         v_one)
+    assert np.array_equal(v, v_one)
+    for got, want in zip((times, spike_times, offsets), one):
+        assert np.array_equal(got, want)
+
+
+def test_run_traces_of_no_steps_is_empty():
+    times, v, spikes = nrn.run_traces(lif_params(), np.zeros((2, 0)), 1e-3)
+    assert times.size == 0 and v.shape == (2, 0) and spikes == [[], []]
