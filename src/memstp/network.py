@@ -134,8 +134,7 @@ class Network:
     tail: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
+        nrn._check_dt(self.neuron, self.dt)
         if not self.g_post_delay > 0.0:
             raise ValueError("g_post_delay must be > 0")
         for name in ("lead", "tail", "g0_jitter"):

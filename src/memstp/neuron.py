@@ -5,13 +5,14 @@ c_m dv/dt = -g_l (v - e_l) + g_l delta_t exp((v - v_t)/delta_t) + i_in
 Explicit fixed-step integration; with delta_t = 0 the exponential term is
 dropped (leaky IF). ``step`` advances one membrane; ``run_traces`` advances
 a batch of independent membranes together, one time step at a time, taking
-the input current in cache-sized blocks of steps.
+the input current in cache-sized blocks of steps. A batch of one membrane
+runs the same float operations on Python floats instead of 1-element arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -49,6 +50,9 @@ class NeuronParams:
     t_ref: float = 0.002
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
         if self.c_m <= 0.0 or self.g_l <= 0.0:
             raise ValueError("c_m and g_l must be > 0")
         if self.v_reset >= self.v_peak:
@@ -69,7 +73,7 @@ class NeuronState:
 
 
 def _check_dt(params: NeuronParams, dt: float) -> None:
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be > 0")
     if dt > params.tau_m / 10.0:
         raise ValueError(
@@ -127,10 +131,12 @@ def _integrate(
     that cover the run once. The drive coef*(g_l*e_l + i) of a whole block
     is computed at once. Each of its steps is then ``step`` over the batch:
     v = drive + alpha*v, plus the capped exponential term if delta_t > 0,
-    then spike, reset and ceil(t_ref/dt) refractory steps. Fills column k of
-    ``v_out`` with step k's membranes if given. Returns (step-end times, the
-    spike times of all rows in row order, row offsets): row r's spike times
-    are ``spike_times[offsets[r]:offsets[r + 1]]``.
+    then spike, reset and ceil(t_ref/dt) refractory steps. A single membrane
+    runs these float operations in the same order on Python floats, which
+    gives the same bits as its row in a batch without a numpy call per step.
+    Fills column k of ``v_out`` with step k's membranes if given. Returns
+    (step-end times, the spike times of all rows in row order, row offsets):
+    row r's spike times are ``spike_times[offsets[r]:offsets[r + 1]]``.
     """
     _check_dt(params, dt)
     alpha = 1.0 - dt * params.g_l / params.c_m
@@ -138,6 +144,36 @@ def _integrate(
     rest = params.g_l * params.e_l
     exp_gain = coef * params.g_l * params.delta_t
     ref_steps = math.ceil(params.t_ref / dt)  # as in step
+    times = dt * np.arange(1, steps + 1)
+    block = _block_steps(v0.size)
+    if v0.size == 1:
+        x, held, fired_at = float(v0.item()), 0, []
+        for a in range(0, steps, block):
+            b = min(a + block, steps)
+            trace = None if v_out is None else []
+            # A memoryview yields the block's drive as Python floats, one at
+            # a time, with no per-block list.
+            for k, drive in enumerate(
+                    memoryview((coef * (rest + current(a, b))).ravel()), a):
+                if held:  # the clamp leaves v at v_reset, below v_peak
+                    x = params.v_reset
+                    held -= 1
+                else:
+                    if exp_gain > 0.0:
+                        # np.exp, not math.exp: the array loop's last bit.
+                        drive += exp_gain * float(np.exp(min(
+                            (x - params.v_t) / params.delta_t, _EXP_ARG_MAX)))
+                    x = drive + x * alpha
+                    if x >= params.v_peak:
+                        x = params.v_reset
+                        held = ref_steps
+                        fired_at.append(k)
+                if trace is not None:
+                    trace.append(x)
+            if trace is not None:
+                v_out[0, a:b] = trace
+        return (times, times[np.array(fired_at, dtype=int)],
+                np.array([0, len(fired_at)]))
     held = np.zeros(v0.shape, dtype=int)  # refractory steps still to serve
     busy = 0  # steps until no membrane is refractory
     # Per spike step: the step, once per row that fired, and those rows.
@@ -145,7 +181,6 @@ def _integrate(
     fired_rows: list[np.ndarray] = [np.zeros(0, dtype=int)]
     v = np.array(v0, dtype=float)
     scaled = np.empty_like(v)
-    block = _block_steps(v.size)
     for a in range(0, steps, block):
         for k, drive in enumerate(
                 coef * (rest + current(a, min(a + block, steps))), a):
@@ -170,7 +205,6 @@ def _integrate(
                 fired_rows.append(fired)
             if v_out is not None:
                 v_out[:, k] = v
-    times = dt * np.arange(1, steps + 1)
     rows = np.concatenate(fired_rows)
     # A stable sort by row keeps each row's spikes in step order.
     order = np.argsort(rows, kind="stable")

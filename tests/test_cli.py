@@ -518,8 +518,8 @@ def _simulate_network_override(tmp_path, preset, patch, trials=2):
 
 @pytest.mark.parametrize("preset", ["fig4_sequence", "fig4_control"])
 @pytest.mark.parametrize("patch", [
-    {"dt": 0}, {"lead": -0.05}, {"tail": -1}, {"g0_jitter": -1e-6},
-    {"g_post_delay": 0}, {"force_mode": "bogus"},
+    {"dt": 0}, {"dt": 0.01}, {"lead": -0.05}, {"tail": -1},
+    {"g0_jitter": -1e-6}, {"g_post_delay": 0}, {"force_mode": "bogus"},
 ])
 def test_network_override_rejects_bad_values(tmp_path, capsys, preset, patch):
     rc, out = _simulate_network_override(tmp_path, preset, patch)

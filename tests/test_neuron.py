@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -252,9 +252,11 @@ def test_exponential_rows_match_step_loop():
         assert spikes[row] == spk_loop
 
 
-def test_integrate_asks_for_each_step_once_in_consecutive_blocks(monkeypatch):
+@pytest.mark.parametrize("rows", [700, 1])
+def test_integrate_asks_for_each_step_once_in_consecutive_blocks(monkeypatch,
+                                                                 rows):
     p = lif_params(v_peak=0.3, v_t=0.3, t_ref=3e-3)
-    rows, dt = 700, 1e-3
+    dt = 1e-3
     block = nrn._block_steps(rows)
     steps = 5 * block + 3  # not a whole number of blocks
     rng = np.random.default_rng(5)
@@ -280,6 +282,46 @@ def test_integrate_asks_for_each_step_once_in_consecutive_blocks(monkeypatch):
     assert np.array_equal(v, v_one)
     for got, want in zip((times, spike_times, offsets), one):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [
+    lif_params(v_peak=0.3, v_t=0.3, t_ref=5e-3),
+    lif_params(delta_t=0.05, v_t=0.25, v_peak=0.3, t_ref=5e-3),
+], ids=["lif", "eif"])
+def test_one_row_matches_its_row_in_a_batch(p):
+    # One membrane runs on Python floats and two take the array loop; both
+    # must give the same bits. A forced spike two steps before the first
+    # block edge puts a refractory window across it.
+    dt = 1e-3
+    block = nrn._block_steps(1)
+    steps = 2 * block + 5
+    current = np.random.default_rng(6).uniform(0.0, 1.0e-6, steps)
+    current[block - 2] = 2e-5  # one step from rest past v_peak
+    v0 = np.array([0.1])
+    v_one, v_two = np.empty((1, steps)), np.empty((2, steps))
+    one = nrn._integrate(p, lambda a, b: current[a:b, None], steps, dt, v0,
+                         v_one)
+    two = nrn._integrate(p, lambda a, b: np.repeat(current[a:b, None], 2, 1),
+                         steps, dt, np.repeat(v0, 2), v_two)
+    times, spike_times, offsets = one
+    spike_steps = np.rint(spike_times / dt).astype(int) - 1
+    assert np.any((spike_steps < block) & (spike_steps + 5 >= block))
+    assert offsets.tolist() == [0, spike_times.size] and spike_times.size > 20
+    assert np.array_equal(times, two[0])
+    assert np.array_equal(two[2], [0, spike_times.size, 2 * spike_times.size])
+    for row in range(2):
+        assert np.array_equal(v_two[row], v_one[0])
+        assert np.array_equal(two[1][two[2][row]:two[2][row + 1]], spike_times)
+    no_trace = nrn._integrate(p, lambda a, b: current[a:b, None], steps, dt,
+                              v0)
+    for got, want in zip(no_trace, one):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(NeuronParams)])
+def test_params_reject_nan_naming_the_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must not be NaN"):
+        NeuronParams(**{field: math.nan})
 
 
 def test_run_traces_of_no_steps_is_empty():
