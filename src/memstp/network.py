@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -298,6 +298,29 @@ def _charge(g, train: PulseTrain, dt: float):
     return g * abs(train.v) * train.w / dt
 
 
+class _Segment(NamedTuple):
+    """The smooth current scale*(g + delta_g*relax[k]) of a ``_Drive`` on
+    its steps lo <= k < hi, where relax falls by rho per step; the constant
+    scale*g where delta_g is None."""
+
+    lo: int
+    hi: int
+    g: np.ndarray
+    delta_g: Optional[np.ndarray]
+    rho: float
+
+
+@dataclass(frozen=True)
+class _Drive:
+    """A synapse's current as smooth segments, with a pulse charge on top on
+    each impulse step; no current outside the segments."""
+
+    segments: list[_Segment]
+    impulses: list[int]
+    scale: float = 0.0
+    relax: Optional[np.ndarray] = None
+
+
 def _memristor_currents(
     syn: MemristiveSynapse,
     g_eq0: np.ndarray,
@@ -309,15 +332,16 @@ def _memristor_currents(
     include_write_charge: bool,
     g_post_delay: float,
     g_out: Optional[np.ndarray] = None,
-) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
+) -> tuple[Callable[[int, int], np.ndarray], np.ndarray, _Drive]:
     """Event-driven simulation of a batch of fresh devices, read out on the
     sample grid. Device r starts at g_eq0[r], Saturating where
     saturating[r]; all see the same pulses.
 
     Returns ``current(a, b)``, every device's current on the steps a..b-1
     of the grid as a (b - a, devices) array (filling those columns of
-    ``g_out`` with the conductances, if given), and the conductance of each
-    device g_post_delay after its last pulse.
+    ``g_out`` with the conductances, if given), the conductance of each
+    device g_post_delay after its last pulse, and the current as a
+    ``_Drive``.
     """
     params = syn.params
     rows = g_eq0.size
@@ -342,6 +366,10 @@ def _memristor_currents(
     # conductance right after it, lands on that step.
     charges = (list(zip(_pulse_step_indices(pulse_times, dt, grid.size),
                         segments[1:])) if include_write_charge else [])
+    drive = _Drive(
+        [_Segment(lo, hi, s[0], s[3] if np.any(s[3]) else None,
+                  math.exp(-dt / s[4])) for s, (lo, hi) in zip(states, spans)],
+        [k for k, _ in charges], syn.read_v, relax)
 
     def current(a: int, b: int) -> np.ndarray:
         g = np.empty((b - a, rows))
@@ -362,7 +390,7 @@ def _memristor_currents(
                 g[k - a] += _charge(g_eq + delta_g, train, dt)
         return g
 
-    return current, g_post
+    return current, g_post, drive
 
 
 def _static_currents(
@@ -398,6 +426,45 @@ def _rc_currents(
     return out + syn.g * syn.read_v
 
 
+def _pieces(
+    drives: Sequence[Optional[_Drive]],
+    current: Callable[[int, int], np.ndarray],
+    n: int,
+) -> Optional[Iterator[nrn.Piece]]:
+    """The summed current of ``drives`` on the grid of ``n`` steps as the
+    membrane's pieces, each built when the membrane reaches it.
+
+    Breakpoints are the segment edges and the impulse steps; an impulse
+    step's current is ``current`` of that step, as the step loop sums it.
+    None if a synapse has no drive or a piece holds two decay rates.
+    """
+    if any(d is None for d in drives):
+        return None
+    impulses = {k for d in drives for k in d.impulses}
+    edges = sorted({0, n, *impulses, *(k + 1 for k in impulses),
+                    *(s.lo for d in drives for s in d.segments)})
+    # Per piece: (drive, segment) of each segment that holds it.
+    spans = [(lo, hi, [(d, s) for d in drives for s in d.segments
+                       if s.lo <= lo < s.hi])
+             for lo, hi in zip(edges, edges[1:])]
+    if any(len({s.rho for _, s in held if s.delta_g is not None}) > 1
+           for lo, _, held in spans if lo not in impulses):
+        return None
+
+    def piece(lo: int, hi: int, held: list) -> nrn.Piece:
+        if lo in impulses:
+            return nrn.Piece(lo, hi, current(lo, hi)[0])
+        a = [d.scale * s.g for d, s in held]
+        decaying = [(d, s) for d, s in held if s.delta_g is not None]
+        b = [s.delta_g * (d.scale * d.relax[lo]) for d, s in decaying]
+        return nrn.Piece(lo, hi, sum(a[1:], a[0]) if a else 0.0,
+                         sum(b[1:], b[0]) if b else 0.0,
+                         decaying[0][1].rho if decaying else 1.0)
+
+    # One piece at a time: a generator frame keeps no piece's arrays.
+    return (piece(*span) for span in spans)
+
+
 def _time_grid(network: Network, pattern: PatternSpec,
                t_end: float) -> np.ndarray:
     """The sample grid dt*k of a trial, k < ceil(t_end/dt)."""
@@ -430,7 +497,10 @@ def monte_carlo(
     Static and RC synapse currents are the same in every trial and are
     computed once; memristive currents are built in blocks of steps and fed
     straight to the membranes, so without ``record_traces`` memory grows
-    with the trials, not with trials x steps.
+    with the trials, not with trials x steps. A leaky batch of many rows
+    without traces gives the membranes its current as ``_pieces`` instead,
+    for ``neuron._integrate_events``; the rows that fail its certificate get
+    their current rebuilt from their own draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -454,37 +524,57 @@ def monte_carlo(
                   if isinstance(s, MemristiveSynapse)]
     g_eq0, saturating = _initial_draws(network, mem_params, trials, seed)
     rows = g_eq0.shape[1]
-    draws = iter(zip(g_eq0, saturating))
     g_trace = np.empty((rows, n)) if record_traces and mem_params else None
-    currents = []  # per synapse: current(a, b) of the steps a..b-1
-    standing = 0.0  # the read-bias current before the first pulse
-    first = None  # (g0, saturating, g_post) of the first memristor
-    for idx, syn in enumerate(network.synapses):
-        times = train.pulse_times(starts[idx])
-        if isinstance(syn, MemristiveSynapse):
-            g_init, sat_init = next(draws)
-            current, g_post = _memristor_currents(
-                syn, g_init, sat_init, times, train, grid, dt,
-                network.include_write_charge, network.g_post_delay,
-                g_out=g_trace if first is None else None)
-            standing += g_init * syn.read_v
-            if first is None:
-                first = (g_init, sat_init, g_post)
-        else:
-            # One (steps, 1) column shared by all trials.
-            column = (_static_currents if isinstance(syn, StaticSynapse)
-                      else _rc_currents)(syn, times, train, grid, dt)[:, None]
-            current = lambda a, b, column=column: column[a:b]
-            if isinstance(syn, RCSynapse):
-                standing += syn.g * syn.read_v
-        currents.append(current)
 
+    def synapses(g_eq0, saturating, g_out=None):
+        """The summed current(a, b) of the rows drawn as (g_eq0, saturating),
+        each synapse's ``_Drive`` (None for RC), the read-bias current before
+        the first pulse and (g0, saturating, g_post) of the first memristor.
+        """
+        draws = iter(zip(g_eq0, saturating))
+        currents, drives = [], []  # per synapse
+        standing = 0.0
+        first = None
+        for idx, syn in enumerate(network.synapses):
+            times = train.pulse_times(starts[idx])
+            if isinstance(syn, MemristiveSynapse):
+                g_init, sat_init = next(draws)
+                current, g_post, drive = _memristor_currents(
+                    syn, g_init, sat_init, times, train, grid, dt,
+                    network.include_write_charge, network.g_post_delay,
+                    g_out=g_out if first is None else None)
+                standing += g_init * syn.read_v
+                if first is None:
+                    first = (g_init, sat_init, g_post)
+            else:
+                # One (steps, 1) column shared by all trials.
+                column = (_static_currents if isinstance(syn, StaticSynapse)
+                          else _rc_currents)(syn, times, train, grid, dt)
+                current = lambda a, b, column=column[:, None]: column[a:b]
+                if isinstance(syn, RCSynapse):
+                    standing += syn.g * syn.read_v
+                    drive = None
+                else:
+                    drive = _Drive([], _pulse_step_indices(times, dt, n))
+            currents.append(current)
+            drives.append(drive)
+        return (lambda a, b: sum(f(a, b) for f in currents), drives, standing,
+                first)
+
+    current, drives, standing, first = synapses(g_eq0, saturating, g_trace)
     v0 = np.broadcast_to(network.neuron.e_l + standing / network.neuron.g_l,
                          (rows,))
     v = np.empty((rows, n)) if record_traces else None
-    times_out, spike_times, offsets = nrn._integrate(
-        network.neuron, lambda a, b: sum(f(a, b) for f in currents), n, dt,
-        v0, v)
+    pieces = None
+    if not record_traces and rows > 1 and network.neuron.delta_t == 0.0:
+        pieces = _pieces(drives, current, n)
+    if pieces is None:
+        times_out, spike_times, offsets = nrn._integrate(
+            network.neuron, current, n, dt, v0, v)
+    else:
+        times_out, spike_times, offsets = nrn._integrate_events(
+            network.neuron, pieces, n, dt, v0,
+            lambda r: synapses(g_eq0[:, r], saturating[:, r])[0])
 
     n_spikes = np.diff(offsets)
     if rows < trials:  # one distinct trial: every trial is row 0

@@ -7,13 +7,27 @@ dropped (leaky IF). ``step`` advances one membrane; ``run_traces`` advances
 a batch of independent membranes together, one time step at a time, taking
 the input current in cache-sized blocks of steps. A batch of one membrane
 runs the same float operations on Python floats instead of 1-element arrays.
+
+A leaky batch of more than one membrane that records no traces can instead
+take the event path, ``_integrate_events``, when its current comes as
+pieces: one-step pulses, and stretches where it is a + b*rho**j. Between
+pulses the Euler recurrence has a closed form (exact integration between
+events, Rotter & Diesmann, Biol. Cybern. 81, 381 (1999), applied to the
+Euler recurrence), so each piece costs O(1) numpy work per membrane: its
+maximum, and by bisection its first threshold crossing. The path reproduces
+the step loop's spike steps by certificate: a membrane with a compared value
+within ``_EPS`` of v_peak, or whose closed form rounds too much (a decay
+rate rho too near the membrane's alpha), is run again by the step loop.
+The step loop stays for the exponential IF, traces, one membrane, and
+currents that are not such pieces (two decay rates in one piece, RC), and
+is the event path's oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -31,6 +45,13 @@ _EXP_ARG_MAX = 30.0
 # Elements of one current block (64 KB of float64): small enough that a
 # block's drive temporaries stay in cache.
 _BLOCK_ELEMENTS = 8192
+
+
+# Margin of the event path's exactness certificate, in volts: far above the
+# rounding by which its closed form and the step loop differ (under 1e-14 V
+# on the detector's pieces), far below a membrane step.
+_EPS = 1e-9
+_ULP = float(np.finfo(float).eps)
 
 
 def _block_steps(rows: int) -> int:
@@ -51,8 +72,12 @@ class NeuronParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if math.isnan(value):
                 raise ValueError(f"{f.name} must not be NaN")
+            # An infinite v_peak is a membrane that never fires.
+            if math.isinf(value) and f.name != "v_peak":
+                raise ValueError(f"{f.name} must be finite")
         if self.c_m <= 0.0 or self.g_l <= 0.0:
             raise ValueError("c_m and g_l must be > 0")
         if self.v_reset >= self.v_peak:
@@ -211,6 +236,185 @@ def _integrate(
     offsets = np.zeros(v.size + 1, dtype=int)
     np.cumsum(np.bincount(rows, minlength=v.size), out=offsets[1:])
     return times, times[np.concatenate(fired_steps)[order]], offsets
+
+
+class Piece(NamedTuple):
+    """The input current of a batch on the steps lo..hi-1.
+
+    On step k it is a + b*rho**(k - lo), with a and b one value per row or
+    one for all rows. Where rho is None the piece is the one step lo, and a
+    is that step's current exactly as the step loop sums it.
+    """
+
+    lo: int
+    hi: int
+    a: Union[float, np.ndarray]
+    b: Union[float, np.ndarray] = 0.0
+    rho: Optional[float] = None
+
+
+def _integrate_events(
+    params: NeuronParams,
+    pieces: Iterable[Piece],
+    steps: int,
+    dt: float,
+    v0: np.ndarray,
+    current_of: Callable[[np.ndarray], Callable[[int, int], np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_integrate`` of a leaky batch whose current is given as ``pieces``.
+
+    The pieces cover the steps 0..steps-1 in order; each is run for all
+    rows, ``_BLOCK_ELEMENTS`` rows at a time. A one-step piece is one step
+    of the loop, with its float operations. A smooth piece is solved in
+    closed form by ``_first_crossing``; a row that crosses v_peak on it is
+    reset, held ceil(t_ref/dt) steps and restarted from v_reset on the rest
+    of the piece. Rows that fail the certificate (``_first_crossing``, or a
+    one-step value within ``_EPS`` of v_peak) are run again by
+    ``_integrate`` on ``current_of(rows)``, the current of just those rows,
+    so spike steps equal the step loop's. Returns what ``_integrate``
+    returns.
+    """
+    _check_dt(params, dt)
+    if params.delta_t > 0.0:
+        raise ValueError("the event path integrates leaky membranes only")
+    alpha = 1.0 - dt * params.g_l / params.c_m
+    coef = dt / params.c_m
+    rest = params.g_l * params.e_l
+    ref_steps = math.ceil(params.t_ref / dt)  # as in step
+    times = dt * np.arange(1, steps + 1)
+    v = np.array(v0, dtype=float)
+    free = np.zeros(v.size, dtype=int)  # a row's first step after its hold
+    bad = np.zeros(v.size, dtype=bool)  # rows that fail the certificate
+    fired_rows: list[np.ndarray] = [np.zeros(0, dtype=int)]
+    fired_steps: list[np.ndarray] = [np.zeros(0, dtype=int)]
+
+    def fire(rows: np.ndarray, at: np.ndarray) -> None:
+        v[rows] = params.v_reset
+        free[rows] = at + ref_steps + 1
+        fired_rows.append(rows)
+        fired_steps.append(at)
+
+    for piece in pieces:
+        for r0 in range(0, v.size, _BLOCK_ELEMENTS):
+            chunk = slice(r0, r0 + _BLOCK_ELEMENTS)
+            if piece.rho is None:
+                # The loop's drive + v*alpha on the rows that are not held.
+                rows = r0 + np.flatnonzero((free[chunk] <= piece.lo)
+                                           & ~bad[chunk])
+                x = coef * (rest + _per_row(piece.a, rows)) + v[rows] * alpha
+                bad[rows[np.abs(x - params.v_peak) < _EPS]] = True
+                v[rows] = x
+                up = x >= params.v_peak
+                fire(rows[up], np.full(np.count_nonzero(up), piece.lo))
+                continue
+            rows = r0 + np.flatnonzero((free[chunk] < piece.hi) & ~bad[chunk])
+            drive_a = coef * (rest + _per_row(piece.a, rows))
+            drive_b = coef * _per_row(piece.b, rows)
+            index = np.arange(rows.size)  # each row's entry in drive_a/_b
+            while rows.size:
+                start = np.maximum(free[rows], piece.lo)
+                v_end, m, failed = _first_crossing(
+                    params, alpha, piece.rho, v[rows], piece.hi - start,
+                    _per_row(drive_a, index),
+                    _per_row(drive_b, index) * piece.rho ** (start - piece.lo))
+                bad[rows[failed]] = True
+                calm = ~failed & (m == 0)
+                v[rows[calm]] = v_end[calm]
+                up = ~failed & (m > 0)
+                rows, index = rows[up], index[up]
+                fire(rows, start[up] + m[up] - 1)
+                again = free[rows] < piece.hi
+                rows, index = rows[again], index[again]
+        del piece  # free its arrays before the next piece is built
+
+    failed = np.flatnonzero(bad)
+    if failed.size:
+        # Drop the failed rows' spikes, then add the step loop's.
+        for i, (rows, at) in enumerate(zip(fired_rows, fired_steps)):
+            keep = ~bad[rows]
+            fired_rows[i], fired_steps[i] = rows[keep], at[keep]
+        _, again, offsets = _integrate(params, current_of(failed), steps, dt,
+                                       v0[failed])
+        fired_rows.append(np.repeat(failed, np.diff(offsets)))
+        fired_steps.append(np.searchsorted(times, again))
+    rows = np.concatenate(fired_rows)
+    # Each row's spikes were found in step order, so a stable sort by row
+    # keeps them so.
+    order = np.argsort(rows, kind="stable")
+    offsets = np.zeros(v.size + 1, dtype=int)
+    np.cumsum(np.bincount(rows, minlength=v.size), out=offsets[1:])
+    return times, times[np.concatenate(fired_steps)[order]], offsets
+
+
+def _per_row(x, index):
+    """``x[index]`` of a per-row array; a value shared by all rows as is."""
+    return x[index] if np.ndim(x) else x
+
+
+# Rows whose rho lies too near alpha get huge or infinite Q and P; the
+# rounding bound fails them, so their overflow and nan go unreported.
+@np.errstate(all="ignore")
+def _first_crossing(
+    params: NeuronParams,
+    alpha: float,
+    rho: float,
+    u: np.ndarray,
+    steps: np.ndarray,
+    drive_a,
+    drive_b,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Membranes at ``u`` run ``steps`` Euler steps v = d + alpha*v of the
+    drive d = drive_a + drive_b*rho**j on their step j = 0, 1, ...
+
+    In closed form, v after m steps is v(m) = K + P*alpha**m + Q*rho**m,
+    with K = drive_a/(1 - alpha), Q = drive_b/(rho - alpha) and
+    P = u - K - Q. v(m) has at most one stationary point m*, so its largest
+    value over m = 1..steps is at 1, steps, floor(m*) or ceil(m*). Up to
+    that maximum v(m) is monotone, and bisection finds the first m with
+    v(m) >= v_peak - _EPS. Returns (v(steps), that m or 0 if there is none,
+    failed). A row fails the certificate if the v(m) it crosses at lies
+    below v_peak + _EPS, or if a bound on the rounding of closed form and
+    loop reaches _EPS/256, as when rho is too near alpha for Q; otherwise
+    every v(m) compared lies more than _EPS from v_peak, so the step loop,
+    which differs by rounding, crosses at the same m.
+    """
+    below, above = params.v_peak - _EPS, params.v_peak + _EPS
+    log_alpha, log_rho = math.log(alpha), math.log(rho)
+    k = drive_a / (1.0 - alpha)
+    q = drive_b / (rho - alpha)
+    p = u - k - q
+    m_star = np.log(-(q * log_rho) / (p * log_alpha)) / (log_alpha - log_rho)
+    m_star = np.fmax(np.fmin(m_star, steps), 1.0)  # nan: no m*, steps
+    # Candidates in the order 1, floor(m*), ceil(m*), steps.
+    ms = np.stack([np.ones_like(steps), np.floor(m_star).astype(int),
+                   np.ceil(m_star).astype(int), steps])
+
+    def v_at(m):  # exp of a product: faster than ** on integer arrays
+        return k + p * np.exp(m * log_alpha) + q * np.exp(m * log_rho)
+
+    values = v_at(ms)
+    # Closed form and loop each round by about _ULP of |K| + |P| + |Q| per
+    # step, over the piece's steps and the loop's memory, 1/(1 - alpha).
+    rounding = ((np.abs(k) + np.abs(p) + np.abs(q))
+                * (steps + 1.0 / (1.0 - alpha)) * _ULP)
+    failed = ~(rounding < _EPS / 256)
+    hit = np.flatnonzero((values.max(0) >= below) & ~failed)
+    first = np.zeros_like(steps)
+    if hit.size:
+        # v is monotone from 1 up to the first candidate that reaches below;
+        # bisect on (lo_m, hi_m], where v(lo_m) < below <= v(hi_m).
+        reach = values[:, hit] >= below
+        hi_m = ms[reach.argmax(0), hit]
+        lo_m = np.ones_like(hi_m)
+        k, p, q = (_per_row(x, hit) for x in (k, p, q))
+        while np.any(hi_m - lo_m > 1):
+            mid = (lo_m + hi_m) // 2
+            up = v_at(mid) >= below
+            hi_m = np.where(up, mid, hi_m)
+            lo_m = np.where(up, lo_m, mid)
+        failed[hit[v_at(hi_m) < above]] = True
+        first[hit] = hi_m
+    return values[3], first, failed
 
 
 def run_traces(

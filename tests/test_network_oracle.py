@@ -172,9 +172,10 @@ def reference_run_trial(
         g0=g0_out, mode=mode_out, spike_times=tuple(spike_times))
 
 
-def reference_monte_carlo(network, pattern, trials, seed):
+def reference_monte_carlo(network, pattern, trials, seed, record_traces=True):
     rng = np.random.default_rng(seed)
-    return [reference_run_trial(network, pattern, rng=rng)
+    return [reference_run_trial(network, pattern, rng=rng,
+                                record_traces=record_traces)
             for _ in range(trials)]
 
 
@@ -254,6 +255,7 @@ CASES = {
         "sequence_detector", force_mode=Mode.SATURATING),
     "no_write_charge": lambda: build_detector(
         "sequence_detector", include_write_charge=False),
+    "half_dt": lambda: build_detector("sequence_detector", dt=5e-4),
     # Jitter wider than [g_min, g_max] clamps some initial conductances.
     "clamped_jitter": lambda: build_detector("sequence_detector",
                                              g0_jitter=0.8e-6),
@@ -261,6 +263,9 @@ CASES = {
     "coincidence_drawn": lambda: with_device(
         build_detector("coincidence_detector", force_mode=None,
                        g0_jitter=0.02e-6), e0=0.5e-9),
+    # Overlapping trains (gap 0 below): both memristors decay at one rate,
+    # so the event path sums their decaying currents.
+    "coincidence_overlap": lambda: CASES["coincidence_drawn"](),
     # Draw nothing, like control and coincidence: one simulated row.
     "forced_unjittered": lambda: build_detector(
         "sequence_detector", force_mode=Mode.SATURATING, g0_jitter=0.0),
@@ -269,21 +274,35 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_batched_monte_carlo_matches_per_trial_reference(case, order):
+def check_against_reference(case, order, traces):
     network = CASES[case]()
     trials = 37
     pattern = PatternSpec(order=order)
     if case == "barrier_polarity":
         # Positive pulses: the polarity-sensitive step depresses.
         pattern = replace(pattern, train=replace(pattern.train, v=4.0))
+    if case == "coincidence_overlap":
+        pattern = replace(pattern, gap=0.0)
     p_spike, got = net.monte_carlo(network, pattern, trials, seed=11,
-                                   record_traces=True)
-    want = reference_monte_carlo(network, pattern, trials, seed=11)
+                                   record_traces=traces)
+    want = reference_monte_carlo(network, pattern, trials, seed=11,
+                                 record_traces=traces)
     assert_batch_matches(got, want)
     assert type(p_spike) is float
     assert p_spike == sum(w.spiked for w in want) / trials
+
+
+@pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_monte_carlo_matches_per_trial_reference(case, order):
+    check_against_reference(case, order, traces=True)
+
+
+@pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_without_traces_matches_per_trial_reference(case, order):
+    # Many-row leaky batches without traces take the event path.
+    check_against_reference(case, order, traces=False)
 
 
 @pytest.mark.parametrize("order, trials", [(PatternOrder.AB, 300),
@@ -329,6 +348,58 @@ def test_batch_without_draws_gives_every_trial_one_row(case, monkeypatch):
     assert rows == [1]
     want = reference_run_trial(network, pattern)
     assert_batch_matches(got, [want] * 25)
+
+
+@pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
+def test_sequence_batch_without_traces_takes_the_event_path(order,
+                                                           monkeypatch):
+    # The step loop runs only the rows that fail the event path's
+    # certificate, on their own current, never all 1000 rows.
+    network = build_detector("sequence_detector")
+    pattern = PatternSpec(order=order)
+    _, want = net.monte_carlo(network, pattern, 1000, seed=7,
+                              record_traces=True)
+    rows = []
+    integrate = nrn._integrate
+
+    def counting_integrate(params, current, steps, dt, v0, v_out=None):
+        rows.append(v0.size)
+        return integrate(params, current, steps, dt, v0, v_out)
+
+    monkeypatch.setattr(nrn, "_integrate", counting_integrate)
+    _, got = net.monte_carlo(network, pattern, 1000, seed=7)
+    assert len(rows) <= 1 and sum(rows) < 10
+    for name in ("n_spikes", "spike_offsets", "spike_times", "g0",
+                 "saturating", "g_post", "label"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.membrane is None and got.conductance is None
+
+
+@pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
+def test_rows_failing_the_certificate_run_on_their_own_current(order,
+                                                               monkeypatch):
+    # A 1 mV certificate margin fails about a third of the rows; the step
+    # loop runs them on currents built from their own draws.
+    network = build_detector("sequence_detector")
+    pattern = PatternSpec(order=order)
+    trials = 200
+    _, want = net.monte_carlo(network, pattern, trials, seed=3,
+                              record_traces=True)
+    calls = []
+    integrate = nrn._integrate
+
+    def recording_integrate(params, current, steps, dt, v0, v_out=None):
+        calls.append(current(0, steps))
+        return integrate(params, current, steps, dt, v0, v_out)
+
+    monkeypatch.setattr(nrn, "_EPS", 1e-3)
+    monkeypatch.setattr(nrn, "_integrate", recording_integrate)
+    _, got = net.monte_carlo(network, pattern, trials, seed=3)
+    (current,) = calls
+    assert current.shape[0] == want.times.size
+    assert trials // 10 < current.shape[1] < trials // 2
+    for name in ("n_spikes", "spike_offsets", "spike_times"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("case", ["sequence", "coincidence_drawn"])

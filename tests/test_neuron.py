@@ -324,6 +324,170 @@ def test_params_reject_nan_naming_the_field(field):
         NeuronParams(**{field: math.nan})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", [f.name for f in fields(NeuronParams) if f.name != "v_peak"])
+def test_params_reject_infinity_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        NeuronParams(**{field: value})
+
+
+def test_params_accept_infinite_v_peak():
+    assert NeuronParams(v_peak=math.inf).v_peak == math.inf
+
+
+# ---------------------------------------------------------------------------
+# Event path against the step loop
+# ---------------------------------------------------------------------------
+
+
+def piece_current(pieces, rows):
+    """The (steps, rows) current the step loop reads for ``pieces``."""
+    current = np.empty((pieces[-1].hi, rows))
+    for piece in pieces:
+        if piece.rho is None:
+            current[piece.lo] = piece.a
+        else:
+            j = np.arange(piece.hi - piece.lo)[:, None]
+            current[piece.lo:piece.hi] = piece.a + piece.b * piece.rho ** j
+    return current
+
+
+def random_pieces(rng, rows, steps, dt):
+    """Smooth pieces 1-60 steps long, each with its own decay rate and per-row
+    (a, b), and one-step pulses, some strong enough to fire on their own."""
+    pieces, lo = [], 0
+    while lo < steps:
+        if rng.random() < 0.3:
+            pieces.append(nrn.Piece(lo, lo + 1, rng.uniform(0.0, 3e-5, rows)))
+            lo += 1
+            continue
+        hi = min(steps, lo + int(rng.integers(1, 61)))
+        pieces.append(nrn.Piece(
+            lo, hi, rng.uniform(0.0, 1.6e-6, rows),
+            rng.uniform(-1.5e-6, 1.5e-6, rows),
+            math.exp(-dt / rng.uniform(2e-3, 1.0))))
+        lo = hi
+    return pieces
+
+
+def run_both(p, pieces, dt, v0, monkeypatch=None):
+    """Spike results of the event path and of the step loop on ``pieces``;
+    with ``monkeypatch``, also the row counts of the event path's calls to
+    ``_integrate``."""
+    current = piece_current(pieces, v0.size)
+    steps = current.shape[0]
+    want = nrn._integrate(p, lambda a, b: current[a:b], steps, dt, v0)
+    calls = []
+    if monkeypatch is not None:
+        integrate = nrn._integrate
+
+        def counting(params, current, steps, dt, v0, v_out=None):
+            calls.append(v0.size)
+            return integrate(params, current, steps, dt, v0, v_out)
+
+        monkeypatch.setattr(nrn, "_integrate", counting)
+    got = nrn._integrate_events(
+        p, iter(pieces), steps, dt, v0,
+        lambda rows: lambda a, b: current[a:b, rows])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return want, calls
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       t_ref=st.sampled_from([0.0, 3e-3, 25e-3]))
+@settings(max_examples=30, deadline=None)
+def test_event_path_matches_step_loop_on_random_pieces(seed, t_ref):
+    rng = np.random.default_rng(seed)
+    p = lif_params(v_peak=0.6, v_t=0.6, v_reset=0.1, t_ref=t_ref)
+    dt = 1e-3
+    v0 = rng.uniform(-0.2, 0.55, 40)
+    run_both(p, random_pieces(rng, 40, 700, dt), dt, v0)
+
+
+def test_event_path_covers_multi_spike_rows_and_holds_across_edges():
+    # A fixed draw of random_pieces that shows what the property test above
+    # exercises: rows that fire many times, in one piece and across pieces,
+    # and holds that end in a later piece than they start.
+    rng = np.random.default_rng(2024)
+    p = lif_params(v_peak=0.6, v_t=0.6, v_reset=0.1, t_ref=25e-3)
+    dt = 1e-3
+    pieces = random_pieces(rng, 40, 700, dt)
+    v0 = rng.uniform(-0.2, 0.55, 40)
+    (times, spike_times, offsets), _ = run_both(p, pieces, dt, v0)
+    spikes = np.rint(spike_times / dt).astype(int) - 1
+    assert np.max(np.diff(offsets)) > 5
+    starts = np.array([piece.lo for piece in pieces])
+    # The piece of each spike step, and of the last step of its hold.
+    spike_piece = np.searchsorted(starts, spikes, side="right")
+    hold_piece = np.searchsorted(starts, spikes + round(p.t_ref / dt),
+                                 side="right")
+    assert np.any(hold_piece > spike_piece)
+    smooth = [np.count_nonzero((spikes >= q.lo) & (spikes < q.hi))
+              for q in pieces if q.rho is not None]
+    assert max(smooth) > 1
+
+
+def test_event_path_hands_rho_near_alpha_to_the_step_loop(monkeypatch):
+    # A decay rate within 1e-12 of the membrane's: Q = B/(rho - alpha) is
+    # too large for the closed form, so the rows with a decaying term there
+    # fall back.
+    p = lif_params(v_peak=0.6, v_t=0.6, t_ref=5e-3)
+    dt = 1e-3
+    alpha = 1.0 - dt * p.g_l / p.c_m
+    tau_d = -dt / math.log(alpha) * (1.0 + 1e-11)
+    rng = np.random.default_rng(7)
+    rows = 30
+    b = np.where(np.arange(rows) < 10, rng.uniform(0.2e-6, 1e-6, rows), 0.0)
+    pieces = [nrn.Piece(0, 200, rng.uniform(0.2e-6, 0.9e-6, rows), 0.0, 0.9),
+              nrn.Piece(200, 201, np.full(rows, 2e-5)),
+              nrn.Piece(201, 900, rng.uniform(0.3e-6, 0.7e-6, rows), b,
+                        math.exp(-dt / tau_d))]
+    assert 0.0 < abs(pieces[2].rho - alpha) < 1e-12
+    _, calls = run_both(p, pieces, dt, np.zeros(rows), monkeypatch)
+    assert calls == [10]
+
+
+def loop_peak(p, pieces, dt, v0):
+    """The step loop's largest v of one row that never fires."""
+    current = piece_current(pieces, 1)
+    _, (v,), _ = nrn.run_traces(replace(p, v_peak=math.inf), current.T, dt,
+                                v0=v0)
+    return float(np.max(v))
+
+
+def test_event_path_hands_a_peak_at_v_peak_to_the_step_loop(monkeypatch):
+    # One decaying drive, so v rises to an interior maximum and falls.
+    # Row 0 peaks exactly at v_peak (and fires), row 1 is tuned by bisection
+    # to peak within 1e-12 V below it (and does not); both fail the
+    # certificate. Row 2 peaks over 0.01 V below and stays on the event path.
+    p = lif_params(v_peak=0.6, v_t=0.6, t_ref=5e-3)
+    dt = 1e-3
+
+    def pieces(a):
+        return [nrn.Piece(0, 400, np.asarray(a), np.full(len(a), 0.9e-6),
+                          math.exp(-dt / 0.2))]
+
+    target = loop_peak(p, pieces([0.2e-6]), dt, 0.0)
+    p = replace(p, v_peak=target, v_t=target)
+    lo, hi = 0.19e-6, 0.2e-6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if loop_peak(p, pieces([mid]), dt, 0.0) < target:
+            lo = mid
+        else:
+            hi = mid
+    tuned = loop_peak(p, pieces([lo]), dt, 0.0)
+    assert target - 1e-12 < tuned < target
+    a = [0.2e-6, lo, 0.1e-6]
+    assert loop_peak(p, pieces(a[2:]), dt, 0.0) < target - 0.01
+    (_, _, offsets), calls = run_both(p, pieces(a), dt, np.zeros(3),
+                                      monkeypatch)
+    assert np.diff(offsets).tolist() == [1, 0, 0]
+    assert calls == [2]
+
+
 def test_run_traces_of_no_steps_is_empty():
     times, v, spikes = nrn.run_traces(lif_params(), np.zeros((2, 0)), 1e-3)
     assert times.size == 0 and v.shape == (2, 0) and spikes == [[], []]
