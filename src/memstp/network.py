@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import device as dev
 from . import neuron as nrn
 from .device import DeviceParams, Mode
-from .protocols import PulseTrain
+from .protocols import PulseTrain, _fold_train
 
 __all__ = [
     "PatternOrder",
@@ -68,7 +68,7 @@ class PatternSpec:
     gap: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.gap < 0.0:
+        if not self.gap >= 0.0:
             raise ValueError("gap must be >= 0")
 
 
@@ -79,7 +79,7 @@ class StaticSynapse:
     resistance: float
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0.0:
+        if not self.resistance > 0.0:
             raise ValueError("resistance must be > 0")
 
     @property
@@ -97,8 +97,11 @@ class RCSynapse:
     read_v: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0.0 or self.capacitance <= 0.0:
-            raise ValueError("resistance and capacitance must be > 0")
+        for name in ("resistance", "capacitance"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not math.isfinite(self.read_v):
+            raise ValueError("read_v must be finite")
 
     @property
     def g(self) -> float:
@@ -115,6 +118,10 @@ class MemristiveSynapse:
 
     params: DeviceParams
     read_v: float = 0.2
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.read_v):
+            raise ValueError("read_v must be finite")
 
 
 Synapse = Union[StaticSynapse, RCSynapse, MemristiveSynapse]
@@ -138,8 +145,8 @@ class Network:
         if not self.g_post_delay > 0.0:
             raise ValueError("g_post_delay must be > 0")
         for name in ("lead", "tail", "g0_jitter"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -299,49 +306,74 @@ def _charge(g, train: PulseTrain, dt: float):
 
 
 class _Segment(NamedTuple):
-    """The smooth current scale*(g + delta_g*relax[k]) of a ``_Drive`` on
-    its steps lo <= k < hi, where relax falls by rho per step; the constant
-    scale*g where delta_g is None."""
+    """The conductance g + delta_g*relax[k] of a ``_Drive`` on its steps
+    lo <= k < hi, where relax falls by rho per step."""
 
     lo: int
     hi: int
     g: np.ndarray
-    delta_g: Optional[np.ndarray]
+    delta_g: np.ndarray
     rho: float
 
 
 @dataclass(frozen=True)
 class _Drive:
-    """A synapse's current as smooth segments, with a pulse charge on top on
-    each impulse step; no current outside the segments."""
+    """A synapse's current: scale*G, where G is given by smooth segments
+    that cover the grid (0 if there are none), plus on each impulse's step
+    its pulse charge. The step loop reads it by ``current``, the event path
+    by its segments and impulses (``_pieces``)."""
 
     segments: list[_Segment]
-    impulses: list[int]
+    impulses: list[tuple[int, Union[float, np.ndarray]]]  # (step, charge)
     scale: float = 0.0
     relax: Optional[np.ndarray] = None
+
+    def conductance(self, a: int, b: int) -> np.ndarray:
+        """G on the steps a..b-1 as a (b - a, rows) array."""
+        g = np.zeros((b - a, self.segments[0].g.size if self.segments else 1))
+        for s in self.segments:
+            lo, hi = max(a, s.lo), min(b, s.hi)
+            if lo < hi:
+                # g + delta_g*relax computed in place, on basic slices: a
+                # gather over the block costs more than the arithmetic.
+                piece = np.multiply(s.delta_g, self.relax[lo:hi, None],
+                                    out=g[lo - a:hi - a])
+                piece += s.g
+        return g
+
+    def current(self, a: int, b: int) -> np.ndarray:
+        """The current on the steps a..b-1 as a (b - a, rows) array."""
+        i = self.conductance(a, b)
+        i *= self.scale
+        for k, charge in self.impulses:
+            if a <= k < b:
+                i[k - a] += charge
+        return i
+
+
+def _pulse_drive(syn, pulse_times, train: PulseTrain, dt: float, n: int):
+    """The pulses through a fixed resistor, each one's charge on its step."""
+    return _Drive([], [(k, _charge(syn.g, train, dt))
+                       for k in _pulse_step_indices(pulse_times, dt, n)])
 
 
 def _memristor_currents(
     syn: MemristiveSynapse,
     g_eq0: np.ndarray,
     saturating: np.ndarray,
-    pulse_times: Sequence[float],
+    t0: float,
     train: PulseTrain,
     grid: np.ndarray,
     dt: float,
     include_write_charge: bool,
     g_post_delay: float,
-    g_out: Optional[np.ndarray] = None,
-) -> tuple[Callable[[int, int], np.ndarray], np.ndarray, _Drive]:
-    """Event-driven simulation of a batch of fresh devices, read out on the
-    sample grid. Device r starts at g_eq0[r], Saturating where
-    saturating[r]; all see the same pulses.
+) -> tuple[_Drive, np.ndarray]:
+    """Event-driven simulation of a batch of fresh devices under ``train``
+    from ``t0``, read out on the sample grid. Device r starts at g_eq0[r],
+    Saturating where saturating[r]; all see the same pulses.
 
-    Returns ``current(a, b)``, every device's current on the steps a..b-1
-    of the grid as a (b - a, devices) array (filling those columns of
-    ``g_out`` with the conductances, if given), the conductance of each
-    device g_post_delay after its last pulse, and the current as a
-    ``_Drive``.
+    Returns the devices' current as a ``_Drive`` and the conductance of
+    each device g_post_delay after its last pulse.
     """
     params = syn.params
     rows = g_eq0.size
@@ -350,61 +382,23 @@ def _memristor_currents(
     s = dev._values(replace(dev.initial_state(params), g_eq=g_eq0,
                             delta_g=np.zeros(rows), acc=np.zeros(rows),
                             mode=modes))
-    states = [s]  # the fresh device, then the state after each pulse
-    for t in pulse_times:
-        s, _ = dev._pulse_step(s, params, t, train.v, train.w)
-        states.append(s)
-    g_post = dev._read(s, pulse_times[-1] + g_post_delay)
+    states = [s, *_fold_train(s, params, train, t0)]  # fresh, then per pulse
+    pulse_times = train.pulse_times(t0)
+    g_post = dev._read(states[-1], pulse_times[-1] + g_post_delay)
     # State j is read on the samples edges[j]:edges[j + 1]; of it the run
     # keeps only (g_eq, delta_g) and exp(-(t - t_last)/tau_d) per sample.
     edges = [0, *np.searchsorted(grid, pulse_times).tolist(), grid.size]
     spans = list(zip(edges, edges[1:]))
     relax = np.concatenate([np.exp(-(grid[lo:hi] - s[7]) / s[4])
                             for s, (lo, hi) in zip(states, spans)])
-    segments = [(s[0], s[3], lo, hi) for s, (lo, hi) in zip(states, spans)]
-    # (step, segment) of each pulse: its write charge, through the
-    # conductance right after it, lands on that step.
-    charges = (list(zip(_pulse_step_indices(pulse_times, dt, grid.size),
-                        segments[1:])) if include_write_charge else [])
-    drive = _Drive(
-        [_Segment(lo, hi, s[0], s[3] if np.any(s[3]) else None,
-                  math.exp(-dt / s[4])) for s, (lo, hi) in zip(states, spans)],
-        [k for k, _ in charges], syn.read_v, relax)
-
-    def current(a: int, b: int) -> np.ndarray:
-        g = np.empty((b - a, rows))
-        for g_eq, delta_g, lo, hi in segments:
-            lo, hi = max(a, lo), min(b, hi)
-            if lo < hi:
-                # g = g_eq + delta_g*relax, the same floats computed in
-                # place, on basic slices: a gather over the block costs more
-                # than the arithmetic.
-                piece = np.multiply(delta_g, relax[lo:hi, None],
-                                    out=g[lo - a:hi - a])
-                piece += g_eq
-        if g_out is not None:
-            g_out[:, a:b] = g.T
-        g *= syn.read_v
-        for k, (g_eq, delta_g, _, _) in charges:
-            if a <= k < b:
-                g[k - a] += _charge(g_eq + delta_g, train, dt)
-        return g
-
-    return current, g_post, drive
-
-
-def _static_currents(
-    syn: StaticSynapse | RCSynapse,
-    pulse_times: Sequence[float],
-    train: PulseTrain,
-    grid: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """The pulse charge delivered as a current on each pulse step."""
-    current = np.zeros(grid.size)
-    for k in _pulse_step_indices(pulse_times, dt, grid.size):
-        current[k] += _charge(syn.g, train, dt)
-    return current
+    # Each pulse's write charge, through the conductance right after it,
+    # lands on its step.
+    impulses = ([(k, _charge(s[0] + s[3], train, dt)) for k, s in
+                 zip(_pulse_step_indices(pulse_times, dt, grid.size),
+                     states[1:])] if include_write_charge else [])
+    segments = [_Segment(lo, hi, s[0], s[3], math.exp(-dt / s[4]))
+                for s, (lo, hi) in zip(states, spans)]
+    return _Drive(segments, impulses, syn.read_v, relax), g_post
 
 
 def _rc_currents(
@@ -414,13 +408,13 @@ def _rc_currents(
     grid: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    drive = _static_currents(syn, pulse_times, train, grid, dt)
+    drive = _pulse_drive(syn, pulse_times, train, dt, grid.size)
     # First-order low-pass y' = (x - y)/tau, explicit step with a = dt/tau:
     # y[k] = a*x[k] + (1 - a)*y[k-1].
     a = dt / syn.tau
     out = np.empty(grid.size)
     y = 0.0
-    for k, x in enumerate(drive.tolist()):
+    for k, x in enumerate(drive.current(0, grid.size)[:, 0].tolist()):
         y = a * x + (1.0 - a) * y
         out[k] = y
     return out + syn.g * syn.read_v
@@ -428,34 +422,34 @@ def _rc_currents(
 
 def _pieces(
     drives: Sequence[Optional[_Drive]],
-    current: Callable[[int, int], np.ndarray],
     n: int,
 ) -> Optional[Iterator[nrn.Piece]]:
     """The summed current of ``drives`` on the grid of ``n`` steps as the
     membrane's pieces, each built when the membrane reaches it.
 
     Breakpoints are the segment edges and the impulse steps; an impulse
-    step's current is ``current`` of that step, as the step loop sums it.
-    None if a synapse has no drive or a piece holds two decay rates.
+    step's current is the drives' summed ``current`` of that step, in
+    synapse order, as the step loop sums it. None if a synapse has no drive
+    or a piece holds two decay rates.
     """
     if any(d is None for d in drives):
         return None
-    impulses = {k for d in drives for k in d.impulses}
+    impulses = {k for d in drives for k, _ in d.impulses}
     edges = sorted({0, n, *impulses, *(k + 1 for k in impulses),
                     *(s.lo for d in drives for s in d.segments)})
     # Per piece: (drive, segment) of each segment that holds it.
     spans = [(lo, hi, [(d, s) for d in drives for s in d.segments
                        if s.lo <= lo < s.hi])
              for lo, hi in zip(edges, edges[1:])]
-    if any(len({s.rho for _, s in held if s.delta_g is not None}) > 1
+    if any(len({s.rho for _, s in held if np.any(s.delta_g)}) > 1
            for lo, _, held in spans if lo not in impulses):
         return None
 
     def piece(lo: int, hi: int, held: list) -> nrn.Piece:
         if lo in impulses:
-            return nrn.Piece(lo, hi, current(lo, hi)[0])
+            return nrn.Piece(lo, hi, sum(d.current(lo, hi) for d in drives)[0])
         a = [d.scale * s.g for d, s in held]
-        decaying = [(d, s) for d, s in held if s.delta_g is not None]
+        decaying = [(d, s) for d, s in held if np.any(s.delta_g)]
         b = [s.delta_g * (d.scale * d.relax[lo]) for d, s in decaying]
         return nrn.Piece(lo, hi, sum(a[1:], a[0]) if a else 0.0,
                          sum(b[1:], b[0]) if b else 0.0,
@@ -494,13 +488,13 @@ def monte_carlo(
     k))`` block, so it depends only on ``seed`` and i: the first N trials of
     a longer run equal an N-trial run. A batch that draws nothing (see
     _initial_draws) simulates one row and gives every trial its results.
-    Static and RC synapse currents are the same in every trial and are
-    computed once; memristive currents are built in blocks of steps and fed
-    straight to the membranes, so without ``record_traces`` memory grows
+    A static or memristive synapse's current is a ``_Drive``; the step loop
+    asks each for blocks of steps, so without ``record_traces`` memory grows
     with the trials, not with trials x steps. A leaky batch of many rows
-    without traces gives the membranes its current as ``_pieces`` instead,
+    without traces gives the membranes the drives as ``_pieces`` instead,
     for ``neuron._integrate_events``; the rows that fail its certificate get
-    their current rebuilt from their own draws.
+    their drives rebuilt from their own draws. The RC current is one
+    precomputed column shared by all trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -524,12 +518,12 @@ def monte_carlo(
                   if isinstance(s, MemristiveSynapse)]
     g_eq0, saturating = _initial_draws(network, mem_params, trials, seed)
     rows = g_eq0.shape[1]
-    g_trace = np.empty((rows, n)) if record_traces and mem_params else None
 
-    def synapses(g_eq0, saturating, g_out=None):
+    def synapses(g_eq0, saturating):
         """The summed current(a, b) of the rows drawn as (g_eq0, saturating),
         each synapse's ``_Drive`` (None for RC), the read-bias current before
-        the first pulse and (g0, saturating, g_post) of the first memristor.
+        the first pulse and (g0, saturating, g_post, drive) of the first
+        memristor.
         """
         draws = iter(zip(g_eq0, saturating))
         currents, drives = [], []  # per synapse
@@ -537,37 +531,37 @@ def monte_carlo(
         first = None
         for idx, syn in enumerate(network.synapses):
             times = train.pulse_times(starts[idx])
+            if isinstance(syn, RCSynapse):
+                # One (steps, 1) column shared by all trials.
+                column = _rc_currents(syn, times, train, grid, dt)[:, None]
+                currents.append(lambda a, b, column=column: column[a:b])
+                drives.append(None)
+                standing += syn.g * syn.read_v
+                continue
             if isinstance(syn, MemristiveSynapse):
                 g_init, sat_init = next(draws)
-                current, g_post, drive = _memristor_currents(
-                    syn, g_init, sat_init, times, train, grid, dt,
-                    network.include_write_charge, network.g_post_delay,
-                    g_out=g_out if first is None else None)
+                drive, g_post = _memristor_currents(
+                    syn, g_init, sat_init, starts[idx], train, grid, dt,
+                    network.include_write_charge, network.g_post_delay)
                 standing += g_init * syn.read_v
                 if first is None:
-                    first = (g_init, sat_init, g_post)
+                    first = (g_init, sat_init, g_post, drive)
             else:
-                # One (steps, 1) column shared by all trials.
-                column = (_static_currents if isinstance(syn, StaticSynapse)
-                          else _rc_currents)(syn, times, train, grid, dt)
-                current = lambda a, b, column=column[:, None]: column[a:b]
-                if isinstance(syn, RCSynapse):
-                    standing += syn.g * syn.read_v
-                    drive = None
-                else:
-                    drive = _Drive([], _pulse_step_indices(times, dt, n))
-            currents.append(current)
+                drive = _pulse_drive(syn, times, train, dt, n)
+            currents.append(drive.current)
             drives.append(drive)
         return (lambda a, b: sum(f(a, b) for f in currents), drives, standing,
                 first)
 
-    current, drives, standing, first = synapses(g_eq0, saturating, g_trace)
+    current, drives, standing, first = synapses(g_eq0, saturating)
+    g0, sat, g_post, mem = first or (np.zeros(rows), None, None, None)
+    g_trace = mem.conductance(0, n).T if record_traces and mem else None
     v0 = np.broadcast_to(network.neuron.e_l + standing / network.neuron.g_l,
                          (rows,))
     v = np.empty((rows, n)) if record_traces else None
     pieces = None
     if not record_traces and rows > 1 and network.neuron.delta_t == 0.0:
-        pieces = _pieces(drives, current, n)
+        pieces = _pieces(drives, n)
     if pieces is None:
         times_out, spike_times, offsets = nrn._integrate(
             network.neuron, current, n, dt, v0, v)
@@ -586,7 +580,6 @@ def monte_carlo(
             return a
         return np.broadcast_to(a, (trials,) + a.shape[1:])
 
-    g0, sat, g_post = first or (np.zeros(rows), None, None)
     batch = TrialBatch(
         pattern=pattern.order, n_spikes=column(n_spikes),
         spike_times=spike_times, spike_offsets=offsets, g0=column(g0),

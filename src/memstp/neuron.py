@@ -20,7 +20,8 @@ within ``_EPS`` of v_peak, or whose closed form rounds too much (a decay
 rate rho too near the membrane's alpha), is run again by the step loop.
 The step loop stays for the exponential IF, traces, one membrane, and
 currents that are not such pieces (two decay rates in one piece, RC), and
-is the event path's oracle.
+is the event path's oracle. Both paths take the Euler coefficients from
+``_euler`` and return their spikes through ``_spike_csr``.
 """
 
 from __future__ import annotations
@@ -140,6 +141,30 @@ def step(
     return replace(state, v_m=v), False
 
 
+def _euler(params: NeuronParams, steps: int,
+           dt: float) -> tuple[float, float, float, int, np.ndarray]:
+    """What both membrane paths share: v = coef*(rest + i) + alpha*v is
+    ``step``'s Euler update, ref_steps the steps held after a spike, and
+    times the step-end times of ``steps`` steps. Checks dt."""
+    _check_dt(params, dt)
+    return (1.0 - dt * params.g_l / params.c_m, dt / params.c_m,
+            params.g_l * params.e_l, math.ceil(params.t_ref / dt),
+            dt * np.arange(1, steps + 1))
+
+
+def _spike_csr(times: np.ndarray, rows: int, fired_rows: list[np.ndarray],
+               fired_steps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(spike times of all rows in row order, row offsets) of the spikes of
+    rows ``fired_rows[i]`` on steps ``fired_steps[i]``; each row's spikes
+    come in step order across the lists."""
+    fired, at = (np.concatenate([np.zeros(0, dtype=int), *x])
+                 for x in (fired_rows, fired_steps))
+    offsets = np.zeros(rows + 1, dtype=int)
+    np.cumsum(np.bincount(fired, minlength=rows), out=offsets[1:])
+    # A stable sort by row keeps each row's spikes in step order.
+    return times[at[np.argsort(fired, kind="stable")]], offsets
+
+
 def _integrate(
     params: NeuronParams,
     current: Callable[[int, int], np.ndarray],
@@ -163,13 +188,8 @@ def _integrate(
     (step-end times, the spike times of all rows in row order, row offsets):
     row r's spike times are ``spike_times[offsets[r]:offsets[r + 1]]``.
     """
-    _check_dt(params, dt)
-    alpha = 1.0 - dt * params.g_l / params.c_m
-    coef = dt / params.c_m
-    rest = params.g_l * params.e_l
+    alpha, coef, rest, ref_steps, times = _euler(params, steps, dt)
     exp_gain = coef * params.g_l * params.delta_t
-    ref_steps = math.ceil(params.t_ref / dt)  # as in step
-    times = dt * np.arange(1, steps + 1)
     block = _block_steps(v0.size)
     if v0.size == 1:
         x, held, fired_at = float(v0.item()), 0, []
@@ -197,13 +217,14 @@ def _integrate(
                     trace.append(x)
             if trace is not None:
                 v_out[0, a:b] = trace
-        return (times, times[np.array(fired_at, dtype=int)],
-                np.array([0, len(fired_at)]))
+        fired_at = np.array(fired_at, dtype=int)
+        return (times, *_spike_csr(times, 1, [np.zeros_like(fired_at)],
+                                   [fired_at]))
     held = np.zeros(v0.shape, dtype=int)  # refractory steps still to serve
     busy = 0  # steps until no membrane is refractory
     # Per spike step: the step, once per row that fired, and those rows.
-    fired_steps: list[np.ndarray] = [np.zeros(0, dtype=int)]
-    fired_rows: list[np.ndarray] = [np.zeros(0, dtype=int)]
+    fired_steps: list[np.ndarray] = []
+    fired_rows: list[np.ndarray] = []
     v = np.array(v0, dtype=float)
     scaled = np.empty_like(v)
     for a in range(0, steps, block):
@@ -230,12 +251,7 @@ def _integrate(
                 fired_rows.append(fired)
             if v_out is not None:
                 v_out[:, k] = v
-    rows = np.concatenate(fired_rows)
-    # A stable sort by row keeps each row's spikes in step order.
-    order = np.argsort(rows, kind="stable")
-    offsets = np.zeros(v.size + 1, dtype=int)
-    np.cumsum(np.bincount(rows, minlength=v.size), out=offsets[1:])
-    return times, times[np.concatenate(fired_steps)[order]], offsets
+    return (times, *_spike_csr(times, v.size, fired_rows, fired_steps))
 
 
 class Piece(NamedTuple):
@@ -274,19 +290,14 @@ def _integrate_events(
     so spike steps equal the step loop's. Returns what ``_integrate``
     returns.
     """
-    _check_dt(params, dt)
     if params.delta_t > 0.0:
         raise ValueError("the event path integrates leaky membranes only")
-    alpha = 1.0 - dt * params.g_l / params.c_m
-    coef = dt / params.c_m
-    rest = params.g_l * params.e_l
-    ref_steps = math.ceil(params.t_ref / dt)  # as in step
-    times = dt * np.arange(1, steps + 1)
+    alpha, coef, rest, ref_steps, times = _euler(params, steps, dt)
     v = np.array(v0, dtype=float)
     free = np.zeros(v.size, dtype=int)  # a row's first step after its hold
     bad = np.zeros(v.size, dtype=bool)  # rows that fail the certificate
-    fired_rows: list[np.ndarray] = [np.zeros(0, dtype=int)]
-    fired_steps: list[np.ndarray] = [np.zeros(0, dtype=int)]
+    fired_rows: list[np.ndarray] = []
+    fired_steps: list[np.ndarray] = []
 
     def fire(rows: np.ndarray, at: np.ndarray) -> None:
         v[rows] = params.v_reset
@@ -337,13 +348,7 @@ def _integrate_events(
                                        v0[failed])
         fired_rows.append(np.repeat(failed, np.diff(offsets)))
         fired_steps.append(np.searchsorted(times, again))
-    rows = np.concatenate(fired_rows)
-    # Each row's spikes were found in step order, so a stable sort by row
-    # keeps them so.
-    order = np.argsort(rows, kind="stable")
-    offsets = np.zeros(v.size + 1, dtype=int)
-    np.cumsum(np.bincount(rows, minlength=v.size), out=offsets[1:])
-    return times, times[np.concatenate(fired_steps)[order]], offsets
+    return (times, *_spike_csr(times, v.size, fired_rows, fired_steps))
 
 
 def _per_row(x, index):

@@ -1,8 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from memstp import device as dev
-from memstp.device import Mode, Pulse
+from memstp.device import DeviceParams, Mode, Pulse
 from memstp.network import (
     MemristiveSynapse,
     PatternOrder,
@@ -200,3 +203,33 @@ def test_coincidence_detector():
 def test_pattern_gap_validation():
     with pytest.raises(ValueError):
         PatternSpec(gap=-0.1)
+
+
+def _sequence(**fields):
+    return replace(build_detector("sequence_detector"), **fields)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (make, field, value) for make, field, values in [
+        (PatternSpec, "gap", [NAN]),
+        (StaticSynapse, "resistance", [NAN, 0.0, -INF]),
+        (lambda **kw: RCSynapse(resistance=1.0, **kw), "capacitance",
+         [NAN, 0.0]),
+        (lambda **kw: RCSynapse(capacitance=1.0, **kw), "resistance",
+         [NAN, -1.0]),
+        (lambda **kw: RCSynapse(1.0, 1.0, **kw), "read_v", [NAN, INF, -INF]),
+        (lambda **kw: MemristiveSynapse(DeviceParams(), **kw), "read_v",
+         [NAN, INF, -INF]),
+        (_sequence, "g0_jitter", [NAN, INF, -1e-9]),
+        (_sequence, "lead", [NAN, INF, -0.1]),
+        (_sequence, "tail", [NAN, INF, -0.1]),
+    ] for value in values])
+def test_network_dataclasses_refuse_nan_and_meaningless_values(make, field,
+                                                              value):
+    # NaN fails every comparison, so a check written `x <= 0` lets it
+    # through: a NaN resistance would run as a synapse that never fires.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        make(**{field: value})

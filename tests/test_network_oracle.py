@@ -105,6 +105,16 @@ def reference_memristor_currents(
     return current, g_series, g0, mode, label
 
 
+def reference_pulses(syn, pulse_times, train, grid, dt) -> np.ndarray:
+    """Each pulse's charge through the fixed ``syn.g`` as a current on the
+    grid step nearest its time."""
+    drive = np.zeros(grid.size)
+    for t in pulse_times:
+        k = min(round(t / dt), grid.size - 1)
+        drive[k] += syn.g * abs(train.v) * train.w / dt
+    return drive
+
+
 def reference_run_trial(
     network: net.Network,
     pattern: PatternSpec,
@@ -154,7 +164,7 @@ def reference_run_trial(
             if g_trace is None:
                 g_trace, g0_out, mode_out, label_out = g_series, g0, mode, label
         elif isinstance(syn, StaticSynapse):
-            total += net._static_currents(syn, times, train, grid, dt)
+            total += reference_pulses(syn, times, train, grid, dt)
         else:
             total += net._rc_currents(syn, times, train, grid, dt)
 
@@ -402,6 +412,46 @@ def test_rows_failing_the_certificate_run_on_their_own_current(order,
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+@pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
+@pytest.mark.parametrize("case", ["sequence", "coincidence_overlap"])
+def test_pieces_rebuild_the_step_loop_current(case, order, monkeypatch):
+    # The event path's pieces against current(0, n) of the same batch, the
+    # step loop's current of every row: a smooth piece's a + b*rho**j to
+    # rounding, an impulse piece bit for bit.
+    network = CASES[case]()
+    pattern = PatternSpec(order=order,
+                          gap=0.0 if case == "coincidence_overlap" else 0.25)
+    seen = {}
+    integrate_events = nrn._integrate_events
+
+    def capturing(params, pieces, steps, dt, v0, current_of):
+        seen["pieces"] = list(pieces)
+        seen["current"] = current_of(np.arange(v0.size))(0, steps)
+        return integrate_events(params, iter(seen["pieces"]), steps, dt, v0,
+                                current_of)
+
+    monkeypatch.setattr(nrn, "_integrate_events", capturing)
+    net.monte_carlo(network, pattern, 37, seed=11)
+    current = seen["current"]
+    assert current.shape[1] == 37
+    end = 0
+    for piece in seen["pieces"]:
+        assert piece.lo == end < piece.hi
+        end = piece.hi
+        want = current[piece.lo:piece.hi]
+        if piece.rho is None:
+            assert piece.hi == piece.lo + 1
+            assert np.array_equal(np.broadcast_to(piece.a, want[0].shape),
+                                  want[0])
+        else:
+            j = np.arange(piece.hi - piece.lo)[:, None]
+            got = piece.a + piece.b * piece.rho ** j
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert end == current.shape[0]
+    assert any(p.rho is None for p in seen["pieces"])
+    assert any(np.any(p.b) for p in seen["pieces"] if p.rho is not None)
+
+
 @pytest.mark.parametrize("case", ["sequence", "coincidence_drawn"])
 def test_monte_carlo_prefix_independent_of_trial_count(case):
     # Trial i reads row i of one seeded draw block, so a shorter run is the
@@ -462,9 +512,7 @@ def test_barrier_case_crosses_at_different_pulses():
 
 
 def reference_rc_lowpass(syn: RCSynapse, pulse_times, train, grid, dt):
-    drive = np.zeros(grid.size)
-    for k in net._pulse_step_indices(pulse_times, dt, grid.size):
-        drive[k] += syn.g * abs(train.v) * train.w / dt
+    drive = reference_pulses(syn, pulse_times, train, grid, dt)
     y = np.empty_like(drive)
     acc = 0.0
     a = dt / syn.tau
