@@ -212,9 +212,8 @@ def emit_csv(path: Path | str, header: str, rows: Iterable[tuple],
     file is plot-ready and 9 significant digits survive a round trip; every
     line, the last included, is newline-terminated.
     """
-    line = row_format + "\n"
     return _write(Path(path), itertools.chain(
-        [header + "\n"], (line % row for row in rows)))
+        [header + "\n"], map((row_format + "\n").__mod__, rows)))
 
 
 def _jsonable(value: Any) -> Any:

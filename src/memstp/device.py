@@ -15,21 +15,27 @@ All operations are pure: they take a state and return a new one. The state
 changes only at pulses; a read between pulses is the closed-form relaxation
 ``conductance(state, t)`` and leaves the state as it is.
 
-One private kernel, ``_pulse_step``, holds the model equations: it relaxes a
-device from its last event to a pulse and applies the pulse. It works on
-plain values, a tuple of the ``DeviceState`` fields in declaration order,
-with floats for one device or with g_eq, delta_g, acc and mode as arrays for a
-batch of devices that share one pulse sequence. Every pulse loop (here, in
-``protocols`` and in ``network``) folds the kernel over such tuples; a
-``DeviceState`` is built only where a public function returns one.
+One private kernel, ``_fold``, applies the model equations to a whole pulse
+sequence in one call: before each pulse it relaxes the device from its last
+event through ``_relax`` (which ``decay_to`` shares), then applies the pulse,
+and it yields the state after each pulse. It works on plain values, a tuple
+of the ``DeviceState`` fields in declaration order, with floats for one
+device or with g_eq, delta_g, acc and mode as arrays for a batch of devices
+that share one pulse sequence. A call reads the parameters and chooses the
+scalar or the batch form once, and takes the non-volatile step only at a
+pulse where some device crossed the barrier. ``apply_pulse`` is its
+one-pulse case; ``iv_sweep``, and every train in ``protocols`` and
+``network``, is one call. A ``DeviceState`` is built only where a public
+function returns one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -55,6 +61,20 @@ __all__ = [
 # Guard against round-off when the accumulated energy lands exactly on the
 # barrier (identical pulses summing to the barrier must trigger).
 _BARRIER_REL_TOL = 1e-9
+
+
+def _require_finite(obj, allow_inf: tuple[str, ...] = ()) -> None:
+    """Refuse NaN in any float field of the dataclass ``obj``, and an
+    infinity in any but those named in ``allow_inf``; the message names the
+    field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type not in ("float", float) or math.isfinite(value):
+            continue
+        if math.isnan(value):
+            raise ValueError(f"{f.name} must not be NaN")
+        if f.name not in allow_inf:
+            raise ValueError(f"{f.name} must be finite")
 
 
 class Mode(Enum):
@@ -124,22 +144,22 @@ class DeviceParams:
     polarity_sensitive: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self, allow_inf=("e0", "tau_acc"))
         for name in ("g_eq0", "g_floor"):
             if not (0.0 < self.g_min <= getattr(self, name) <= self.g_max):
                 raise ValueError(f"require 0 < g_min <= {name} <= g_max")
         for name in ("v0", "tau_f_dev", "tau_rec_dev", "tau_d_base",
-                     "tau_d_min", "tau_d_max", "tau_acc", "dt_ref", "e0"):
-            if getattr(self, name) <= 0.0:
+                     "tau_d_min", "tau_d_max", "tau_acc", "dt_ref", "e0",
+                     "sigma_s"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("c_amp", "gamma", "beta"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.u_dev <= 1.0):
             raise ValueError("u_dev must be in (0, 1]")
         if not (0.0 <= self.kappa_sat < 1.0):
             raise ValueError("kappa_sat must be in [0, 1)")
-        if self.sigma_s <= 0.0:
-            raise ValueError("sigma_s must be > 0")
         if self.tau_d_min > self.tau_d_max:
             raise ValueError("tau_d_min must not exceed tau_d_max")
 
@@ -148,10 +168,10 @@ class DeviceParams:
 class DeviceState:
     """Dynamic device state at time ``t_last``.
 
-    ``decay_to`` and the pulse kernel also accept a batch of devices driven
-    by one pulse sequence: g_eq, delta_g, acc and mode are then arrays over
-    the batch, and the remaining fields are shared. The kernel takes the
-    fields as a plain tuple, in this order.
+    ``decay_to`` and the pulse kernel ``_fold`` also accept a batch of
+    devices driven by one pulse sequence: g_eq, delta_g, acc and mode are
+    then arrays over the batch, and the remaining fields are shared. The
+    kernel takes and yields the fields as a plain tuple, in this order.
     """
 
     g_eq: float
@@ -174,8 +194,9 @@ class Pulse:
     w: float
 
     def __post_init__(self) -> None:
-        if self.w <= 0.0:
-            raise ValueError("pulse width must be > 0")
+        _require_finite(self)
+        if not self.w > 0.0:
+            raise ValueError("pulse width w must be > 0")
 
 
 def initial_state(params: DeviceParams, t0: float = 0.0) -> DeviceState:
@@ -214,18 +235,20 @@ def conductance(state: DeviceState, t=None):
     return _read(_values(state), t)
 
 
-def _relax(s: tuple, params: DeviceParams, t: float) -> tuple:
-    """``decay_to`` on plain values: the kernel's relaxation step."""
-    g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse = s
+def _relax(params: DeviceParams, t: float, t_last: float, u, x, delta_g,
+           tau_d: float, acc) -> tuple:
+    """The volatile variables (u, x, delta_g, acc) relaxed from ``t_last`` to
+    ``t``: delta_g and u decay exponentially, x recovers toward 1 and the
+    energy accumulator leaks with tau_acc. ``decay_to`` and the kernel both
+    relax through it."""
     if t < t_last:
         raise ValueError(f"time reversal: t={t} is before state.t_last={t_last}")
     dt = t - t_last
     if dt == 0.0:
-        return s
-    return (g_eq, u * math.exp(-dt / params.tau_f_dev),
+        return u, x, delta_g, acc
+    return (u * math.exp(-dt / params.tau_f_dev),
             1.0 - (1.0 - x) * math.exp(-dt / params.tau_rec_dev),
-            delta_g * math.exp(-dt / tau_d), tau_d,
-            acc * math.exp(-dt / params.tau_acc), mode, t, t_last_pulse)
+            delta_g * math.exp(-dt / tau_d), acc * math.exp(-dt / params.tau_acc))
 
 
 def decay_to(state: DeviceState, params: DeviceParams, t: float) -> DeviceState:
@@ -234,14 +257,21 @@ def decay_to(state: DeviceState, params: DeviceParams, t: float) -> DeviceState:
     delta_g and u decay exponentially, x recovers toward 1, the energy
     accumulator leaks with tau_acc. The equilibrium conductance is untouched.
     """
-    return DeviceState(*_relax(_values(state), params, t))
+    u, x, delta_g, acc = _relax(params, t, state.t_last, state.u, state.x,
+                                state.delta_g, state.tau_d, state.acc)
+    return replace(state, u=u, x=x, delta_g=delta_g, acc=acc, t_last=t)
+
+
+def _joule(g, v: float, w: float):
+    """The pulse-energy law g * v^2 * w, unchecked."""
+    return g * v * v * w
 
 
 def pulse_energy(g: float, v: float, w: float) -> float:
     """Joule energy g * v^2 * w deposited by a rectangular pulse."""
-    if w <= 0.0:
-        raise ValueError("pulse width must be > 0")
-    return g * v * v * w
+    if not w > 0.0:
+        raise ValueError("pulse width w must be > 0")
+    return _joule(g, v, w)
 
 
 def energy_barrier(params: DeviceParams, g_eq: float) -> float:
@@ -269,71 +299,97 @@ def apply_pulse(
     Sub-threshold pulses do not count as write events: they leave tau_d and
     t_last_pulse alone so that they cannot drive the rate law.
     """
-    s, jump = _pulse_step(_values(state), params, pulse.t, pulse.v, pulse.w)
+    s, jump = next(_fold(_values(state), params, [(pulse.t, pulse.v)], pulse.w))
     return DeviceState(*s), jump
 
 
 def _select(mask, a, b):
-    """``a if mask else b``; elementwise when ``mask`` is a bool array."""
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, a, b)
+    """``a if mask else b`` for one device; the batch kernel uses np.where."""
     return a if mask else b
 
 
-def _pulse_step(
-    s: tuple, params: DeviceParams, t: float, v: float, w: float
-) -> tuple[tuple, float]:
-    """The device kernel: ``apply_pulse`` on plain values.
+def _fold(
+    s: tuple, params: DeviceParams, pulses: Iterable[tuple[float, float]],
+    w: float,
+) -> Iterator[tuple[tuple, Any]]:
+    """The device kernel: ``apply_pulse`` over a pulse sequence, on plain values.
 
-    Relaxes plain state ``s`` to ``t`` and applies a pulse of amplitude ``v``
-    and width ``w`` there; returns the new plain state and the volatile jump.
-    For a batch of devices that share their pulse history, g_eq, delta_g,
-    acc and mode are arrays over the batch (mode an object array of
-    ``Mode``), and the mode, jump-cap and barrier branches act as per-device
-    masks.
+    From plain state ``s``, applies each (t, v) of ``pulses`` in time order as
+    a pulse of amplitude v and width ``w`` at t, and yields the new plain
+    state and the volatile jump after each. For a batch of devices that share
+    their pulse history, g_eq, delta_g, acc and mode are arrays over the batch
+    (mode an object array of ``Mode``), and the mode, jump-cap and barrier
+    branches act as per-device masks. A call reads the parameters, checks the
+    width and chooses between the scalar and the batch form once; it takes
+    the non-volatile step only at a pulse where some device crossed the
+    barrier.
     """
-    g_eq, u, x, delta_g, tau_d, acc, mode, _, t_last_pulse = _relax(s, params, t)
-    amp = abs(v)
-    jump = 0.0
+    if not w > 0.0:
+        raise ValueError("pulse width w must be > 0")
+    g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse = s
+    if isinstance(g_eq, np.ndarray):
+        select, any_ = np.where, np.any
+    else:
+        select, any_ = _select, bool
+    p = params
+    v_th, v0, c_amp, u_dev, g_max = p.v_th, p.v0, p.c_amp, p.u_dev, p.g_max
+    tau_d_base, dt_ref, gamma = p.tau_d_base, p.dt_ref, p.gamma
+    tau_d_min, tau_d_max = p.tau_d_min, p.tau_d_max
+    g_min, g_floor, kappa_sat = p.g_min, p.g_floor, p.kappa_sat
+    dg_nv, polarity_sensitive = p.dg_nv, p.polarity_sensitive
+    saturating = mode == Mode.SATURATING
+    walks = any_(saturating)  # whether a Saturating decrement can apply
+    keep = 1.0 - _BARRIER_REL_TOL
+    # The barrier moves only with g_eq: it is re-read where g_eq can change.
+    limit = energy_barrier(p, g_eq) * keep
+    for t, v in pulses:
+        u, x, delta_g, acc = _relax(p, t, t_last, u, x, delta_g, tau_d, acc)
+        amp = abs(v)
+        jump = 0.0
 
-    if amp >= params.v_th:
-        dt_p = math.inf if t_last_pulse is None else t - t_last_pulse
-        if dt_p <= 0.0:
-            tau_d = params.tau_d_max
-        else:
-            tau_d = params.tau_d_base * (params.dt_ref / dt_p) ** params.gamma
-        tau_d = min(max(tau_d, params.tau_d_min), params.tau_d_max)
+        if amp >= v_th:
+            dt_p = math.inf if t_last_pulse is None else t - t_last_pulse
+            if dt_p <= 0.0:
+                tau_d = tau_d_max
+            else:
+                tau_d = tau_d_base * (dt_ref / dt_p) ** gamma
+            tau_d = min(max(tau_d, tau_d_min), tau_d_max)
 
-        u = u + params.u_dev * (1.0 - u)
-        try:
-            resp = params.c_amp * (math.exp((amp - params.v_th) / params.v0) - 1.0)
-        except OverflowError:
-            raise OverflowError(
-                f"amplitude response exp((|v| - v_th)/v0) overflows for a "
-                f"{v:g} V pulse with v_th={params.v_th:g} V and "
-                f"v0={params.v0:g} V") from None
-        headroom = params.g_max - g_eq - delta_g
-        jump = headroom * resp * u * x
-        jump = _select(headroom < jump, headroom, jump)
-        x = x * (1.0 - u)
-        # A Saturating train only walks the equilibrium down toward g_floor.
-        g_eq = _select((mode == Mode.SATURATING) & (g_eq > params.g_floor),
-                       g_eq - params.kappa_sat * (g_eq - params.g_floor), g_eq)
-        delta_g = delta_g + jump
-        t_last_pulse = t
+            u = u + u_dev * (1.0 - u)
+            try:
+                resp = c_amp * (math.exp((amp - v_th) / v0) - 1.0)
+            except OverflowError:
+                raise OverflowError(
+                    f"amplitude response exp((|v| - v_th)/v0) overflows for a "
+                    f"{v:g} V pulse with v_th={v_th:g} V and v0={v0:g} V"
+                ) from None
+            headroom = g_max - g_eq - delta_g
+            jump = headroom * resp * u * x
+            jump = select(headroom < jump, headroom, jump)
+            x = x * (1.0 - u)
+            if walks:
+                # A Saturating train only walks the equilibrium down toward
+                # g_floor.
+                g_eq = select(saturating & (g_eq > g_floor),
+                              g_eq - kappa_sat * (g_eq - g_floor), g_eq)
+                limit = energy_barrier(p, g_eq) * keep
+            delta_g = delta_g + jump
+            t_last_pulse = t
 
-    acc = acc + pulse_energy(g_eq + delta_g, v, w)
-    crossed = acc >= energy_barrier(params, g_eq) * (1.0 - _BARRIER_REL_TOL)
-    step = params.dg_nv
-    if params.polarity_sensitive and v > 0.0:
-        step = -step
-    # Clamp so the total conductance stays inside [g_min, g_max].
-    stepped = g_eq + step
-    stepped = _select(params.g_min > stepped, params.g_min, stepped)
-    ceiling = params.g_max - delta_g
-    stepped = _select(ceiling < stepped, ceiling, stepped)
-    return (_select(crossed, stepped, g_eq), u, x, delta_g, tau_d,
-            _select(crossed, 0.0, acc), mode, t, t_last_pulse), jump
+        acc = acc + _joule(g_eq + delta_g, v, w)
+        crossed = acc >= limit
+        if any_(crossed):
+            step = -dg_nv if polarity_sensitive and v > 0.0 else dg_nv
+            # Clamp so the total conductance stays inside [g_min, g_max].
+            stepped = g_eq + step
+            stepped = select(g_min > stepped, g_min, stepped)
+            ceiling = g_max - delta_g
+            stepped = select(ceiling < stepped, ceiling, stepped)
+            g_eq = select(crossed, stepped, g_eq)
+            acc = select(crossed, 0.0, acc)
+            limit = energy_barrier(p, g_eq) * keep
+        t_last = t
+        yield (g_eq, u, x, delta_g, tau_d, acc, mode, t, t_last_pulse), jump
 
 
 def p_saturating(g0, params: DeviceParams):
@@ -397,14 +453,14 @@ def iv_sweep(
     is i = G * v with G evolving under the volatile dynamics. Returns the
     final state and the (v, i) trace.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be > 0")
     v = np.asarray(waveform, dtype=float)
-    i_out = np.empty_like(v)
     s = _values(state)
-    t = state.t_last
-    for k, vk in enumerate(v.tolist()):
-        s, _ = _pulse_step(s, params, t, vk, dt)
-        i_out[k] = (s[0] + s[3]) * vk  # G = g_eq + delta_g
-        t += dt
-    return DeviceState(*s), v, i_out
+    # Sample k sits at t_last + dt + ... + dt, k additions of dt.
+    times = itertools.accumulate(itertools.repeat(dt, v.size - 1),
+                                 initial=state.t_last)
+    g = []  # G = g_eq + delta_g after each sample
+    for s, _ in _fold(s, params, zip(times, v.tolist()), dt):
+        g.append(s[0] + s[3])
+    return DeviceState(*s), v, np.array(g) * v

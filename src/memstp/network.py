@@ -141,6 +141,9 @@ class Network:
     tail: float = 0.5
 
     def __post_init__(self) -> None:
+        if len(self.synapses) != 2:
+            raise ValueError(f"synapses must hold exactly two synapses, got "
+                             f"{len(self.synapses)}")
         nrn._check_dt(self.neuron, self.dt)
         if not self.g_post_delay > 0.0:
             raise ValueError("g_post_delay must be > 0")

@@ -8,8 +8,9 @@ they carry no voltage, deposit no energy and never change the state."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,11 +43,12 @@ class PulseTrain:
     t_int: float = 0.4
 
     def __post_init__(self) -> None:
+        dev._require_finite(self)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.w <= 0.0:
+        if not self.w > 0.0:
             raise ValueError("pulse width w must be > 0")
-        if self.t_int <= self.w:
+        if not self.t_int > self.w:
             raise ValueError("t_int must exceed the pulse width")
 
     @property
@@ -69,18 +71,18 @@ class ExperimentPlan:
     g_post_delay: float = 10e-3
 
     def __post_init__(self) -> None:
+        dev._require_finite(self)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.t_rec <= self.train.duration:
+        if not self.t_rec > self.train.duration:
             raise ValueError("t_rec must exceed the train duration")
-        if self.sample_dt <= 0.0 or self.g_post_delay <= 0.0:
+        if not (self.sample_dt > 0.0 and self.g_post_delay > 0.0):
             raise ValueError("sample_dt and g_post_delay must be > 0")
-        if self.g_post_delay >= self.t_rec:
+        if not self.g_post_delay < self.t_rec:
             raise ValueError("g_post_delay must be shorter than t_rec")
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     index: int
     g0: float
     g_post: float
@@ -125,11 +127,8 @@ def _fold_train(s: tuple, params: DeviceParams, train: PulseTrain,
                 t0: float) -> list[tuple]:
     """Fold the device kernel over one train from plain state ``s``; returns
     the plain state after each pulse."""
-    states = []
-    for t in train.pulse_times(t0):
-        s, _ = dev._pulse_step(s, params, t, train.v, train.w)
-        states.append(s)
-    return states
+    pulses = zip(train.pulse_times(t0), itertools.repeat(train.v))
+    return [s for s, _ in dev._fold(s, params, pulses, train.w)]
 
 
 def _peaks(states: list[tuple]) -> list[float]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from memstp import device as dev
 from memstp.device import DeviceParams, EventLabel, Mode, Pulse
+from memstp.protocols import ExperimentPlan, PulseTrain
 
 
 @pytest.fixture
@@ -18,6 +19,62 @@ def params():
 @pytest.fixture
 def state(params):
     return dev.initial_state(params)
+
+
+# ---------------------------------------------------------------------------
+# Validation of the kernel's inputs
+# ---------------------------------------------------------------------------
+
+DEVICE_FLOATS = [
+    "g_min", "g_max", "g_eq0", "v_th", "v0", "c_amp", "u_dev", "tau_f_dev",
+    "tau_rec_dev", "tau_d_base", "gamma", "tau_d_min", "tau_d_max", "dt_ref",
+    "kappa_sat", "g_floor", "g_c", "sigma_s", "e0", "beta", "tau_acc",
+    "dg_nv", "t_rec_min",
+]
+MAY_BE_INFINITE = {"e0", "tau_acc"}  # inf = no non-volatile step, no leak
+
+
+def test_device_float_fields_are_listed():
+    names = {f.name for f in dataclasses.fields(DeviceParams)}
+    assert names - {"polarity_sensitive"} == set(DEVICE_FLOATS)
+
+
+def _pulse(**kw):
+    return Pulse(**{"t": 0.0, "v": -4.0, "w": 1e-5, **kw})
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (make, field, value)
+    for make, names in [(DeviceParams, DEVICE_FLOATS),
+                        (_pulse, ["t", "v", "w"]),
+                        (PulseTrain, ["v", "w", "t_int"]),
+                        (ExperimentPlan, ["t_rec", "sample_dt", "g_post_delay"])]
+    for field in names
+    for value in (math.nan, math.inf, -math.inf)
+    if not (field in MAY_BE_INFINITE and value == math.inf)])
+def test_kernel_inputs_refuse_nan_and_infinities(make, field, value):
+    # NaN fails every comparison, so a check written `x <= 0` lets it
+    # through: DeviceParams(v0=nan) used to build a device whose every
+    # write returned G = nan.
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        make(**{field: value})
+
+
+@pytest.mark.parametrize("field", sorted(MAY_BE_INFINITE))
+def test_infinite_barrier_and_leak_are_allowed(field):
+    params = DeviceParams(**{field: math.inf})
+    state, _ = dev.apply_pulse(dev.initial_state(params), params, _pulse())
+    assert params.g_min <= dev.conductance(state) <= params.g_max
+
+
+@pytest.mark.parametrize("w", [math.nan, 0.0, -1e-5])
+def test_kernel_width_check_refuses_nan(params, state, w):
+    with pytest.raises(ValueError, match="pulse width w must be > 0"):
+        dev.pulse_energy(3e-6, 4.0, w)
+    with pytest.raises(ValueError, match="pulse width w must be > 0"):
+        next(dev._fold(dev._values(state), params, [(0.0, -4.0)], w))
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        dev.iv_sweep(state, params, np.ones(3), w)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +403,7 @@ def reference_apply_pulse(state, params, pulse):
         jump = min(headroom * s * u * state.x, headroom)
         x = state.x * (1.0 - u)
         g_eq = state.g_eq
-        if state.mode is Mode.SATURATING:
+        if state.mode is Mode.SATURATING and g_eq > params.g_floor:
             g_eq = g_eq - params.kappa_sat * (g_eq - params.g_floor)
         state = dataclasses.replace(
             state, u=u, x=x, delta_g=state.delta_g + jump, g_eq=g_eq,
@@ -389,59 +446,54 @@ def test_apply_pulse_matches_reference(seed, polarity):
         assert s == s_ref and jump == jump_ref
 
 
-def test_pulse_kernel_batch_rows_match_scalar_devices():
-    params = DeviceParams(e0=0.3e-9, polarity_sensitive=True)
-    rng = np.random.default_rng(5)
+def _row(s, r):
+    """Device ``r`` of the plain batch state ``s`` as a ``DeviceState``."""
+    g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse = s
+    return dev.DeviceState(g_eq[r], u, x, delta_g[r], tau_d, acc[r], mode[r],
+                           t_last, t_last_pulse)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fold_matches_reference_pulse_by_pulse(seed):
+    # Sub-threshold pulses, both polarities, Saturating rows (some below
+    # g_floor) and a finite barrier that only some rows cross at a pulse: a
+    # one-call fold of each device alone and of all 12 as a batch must equal
+    # the reference loop exactly, state and jump, pulse by pulse.
+    params = DeviceParams(e0=0.3e-9, dg_nv=0.1e-6, tau_acc=2.0,
+                          g_floor=2.7e-6, polarity_sensitive=seed % 2 == 1)
+    rng = np.random.default_rng(seed)
     m = 12
+    pulses = list(random_pulses(rng, 80))
     modes = np.array([Mode.SATURATING if k % 3 == 0 else Mode.FACILITATING
                       for k in range(m)], dtype=object)
     batch = dataclasses.replace(
         dev.initial_state(params), g_eq=rng.uniform(2.5e-6, 3.4e-6, m),
-        delta_g=np.zeros(m), acc=rng.uniform(0.0, 0.6e-9, m), mode=modes)
-    singles = [dataclasses.replace(batch, g_eq=float(batch.g_eq[r]), delta_g=0.0,
-                                   acc=float(batch.acc[r]), mode=modes[r])
-               for r in range(m)]
-    crossed = np.zeros(m, dtype=int)
-    for pulse in random_pulses(rng, 40):
-        s, jumps = dev._pulse_step(dev._values(batch), params, pulse.t, pulse.v,
-                                   pulse.w)
-        batch = dev.DeviceState(*s)
-        crossed += (batch.acc == 0.0) & (pulse.v != 0.0)
+        delta_g=np.zeros(m), acc=rng.uniform(0.0, 0.3e-9, m), mode=modes)
+    refs = [_row(dev._values(batch), r) for r in range(m)]
+    expected = []  # per pulse, each device's reference state and jump
+    crossed = np.zeros((len(pulses), m), dtype=bool)
+    for k, pulse in enumerate(pulses):
+        row = []
         for r in range(m):
-            singles[r], jump = dev.apply_pulse(singles[r], params, pulse)
-            assert singles[r] == dataclasses.replace(
-                batch, g_eq=batch.g_eq[r], delta_g=batch.delta_g[r],
-                acc=batch.acc[r], mode=modes[r])
-            assert jump == (jumps if np.isscalar(jumps) else jumps[r])
-    assert 0 < crossed.min() < crossed.max()
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_pulse_kernel_fold_matches_apply_pulse_fold(seed):
-    # Mixed polarities, sub-threshold pulses, Saturating trains and a finite
-    # barrier that the drive crosses: the plain-value fold of the loops and
-    # the public apply_pulse fold must agree exactly, pulse by pulse.
-    params = DeviceParams(e0=0.3e-9, dg_nv=0.1e-6, tau_acc=2.0,
-                          g_floor=2.7e-6, polarity_sensitive=seed % 2 == 1)
-    rng = np.random.default_rng(seed)
-    state = dev.initial_state(params)
-    s = dev._values(state)
-    counts = {"fold": [0, 0], "public": [0, 0]}  # writes, barrier crossings
-    for pulse in random_pulses(rng, 80):
-        if rng.random() < 0.15:
-            mode = Mode.SATURATING if rng.random() < 0.5 else Mode.FACILITATING
-            state = dataclasses.replace(state, mode=mode)
-            s = s[:6] + (mode,) + s[7:]  # the mode field
-        s, jump = dev._pulse_step(s, params, pulse.t, pulse.v, pulse.w)
-        state, jump_ref = dev.apply_pulse(state, params, pulse)
-        assert dev.DeviceState(*s) == state and jump == jump_ref
-        # s[5] is acc and s[8] is t_last_pulse.
-        for key, acc, t_last_pulse in (("fold", s[5], s[8]),
-                                       ("public", state.acc, state.t_last_pulse)):
-            counts[key][0] += abs(pulse.v) >= params.v_th and t_last_pulse == pulse.t
-            counts[key][1] += acc == 0.0 and pulse.v != 0.0
-    assert counts["fold"] == counts["public"]
-    assert min(counts["fold"]) > 0
+            refs[r], jump = reference_apply_pulse(refs[r], params, pulse)
+            row.append((refs[r], jump))
+            crossed[k, r] = refs[r].acc == 0.0 and pulse.v != 0.0
+        expected.append(row)
+    timed = [(p.t, p.v) for p in pulses]
+    w = pulses[0].w
+    for k, (s, jumps) in enumerate(dev._fold(dev._values(batch), params,
+                                             timed, w)):
+        for r, (ref, jump_ref) in enumerate(expected[k]):
+            assert _row(s, r) == ref
+            assert np.broadcast_to(jumps, (m,))[r] == jump_ref
+    for r in range(m):
+        folded = list(dev._fold(dev._values(_row(dev._values(batch), r)),
+                                params, timed, w))
+        assert len(folded) == len(pulses)
+        for (s, jump), (ref, jump_ref) in zip(folded, (e[r] for e in expected)):
+            assert dev.DeviceState(*s) == ref and jump == jump_ref
+    # Some pulse is crossed by some rows but not by others.
+    assert (crossed.any(axis=1) & ~crossed.all(axis=1)).any()
 
 
 def test_pulse_kernel_names_amplitude_overflow():
@@ -451,19 +503,24 @@ def test_pulse_kernel_names_amplitude_overflow():
         dev.apply_pulse(state, params, Pulse(t=0.0, v=-4.0, w=1e-5))
 
 
-def test_iv_sweep_matches_apply_pulse_fold():
-    params = DeviceParams(e0=0.5e-9, polarity_sensitive=True)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_iv_sweep_matches_apply_pulse_fold(mode):
+    params = DeviceParams(e0=0.5e-9, polarity_sensitive=True, g_floor=2.7e-6)
+    start = dataclasses.replace(dev.initial_state(params, t0=0.25), mode=mode)
     waveform = 2.5 * np.sin(np.linspace(0.0, 4.0 * np.pi, 300))
     dt = 1e-4
-    final, v, i = dev.iv_sweep(dev.initial_state(params), params, waveform, dt)
-    state = dev.initial_state(params)
+    final, v, i = dev.iv_sweep(start, params, waveform, dt)
+    state = start
     t = state.t_last
+    crossings = 0
     for k, vk in enumerate(waveform.tolist()):
         state, _ = dev.apply_pulse(state, params, Pulse(t=t, v=vk, w=dt))
         assert i[k] == dev.conductance(state) * vk
+        crossings += state.acc == 0.0 and vk != 0.0
         t += dt
     assert final == state
     assert np.array_equal(v, waveform)
+    assert crossings > 0
 
 
 # ---------------------------------------------------------------------------

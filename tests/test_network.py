@@ -209,6 +209,16 @@ def _sequence(**fields):
     return replace(build_detector("sequence_detector"), **fields)
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_network_refuses_other_than_two_synapses(count):
+    # A third synapse used to reach monte_carlo, which has a start time for
+    # two, and fail there with a bare IndexError.
+    net = build_detector("sequence_detector")
+    synapses = (net.synapses * 2)[:count]
+    with pytest.raises(ValueError, match=f"^synapses must .*got {count}"):
+        replace(net, synapses=synapses)
+
+
 NAN, INF = math.nan, math.inf
 
 

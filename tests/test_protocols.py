@@ -52,6 +52,8 @@ def test_record_count_and_indices(params):
         np.random.default_rng(0))
     assert [r.index for r in records] == [0, 1]
     assert all(len(r.peaks) == 3 for r in records)
+    with pytest.raises(AttributeError):
+        records[0].g0 = 0.0  # records are immutable
 
 
 def test_fig2_protocol_g0_bounds(params):
