@@ -13,7 +13,8 @@ non-volatile step.
 
 All operations are pure: they take a state and return a new one. The state
 changes only at pulses; a read between pulses is the closed-form relaxation
-``conductance(state, t)`` and leaves the state as it is.
+``conductance(state, t)`` and leaves the state as it is. A time before the
+state's last event, or a NaN time, is refused.
 
 One private kernel, ``_fold``, applies the model equations to a whole pulse
 sequence in one call: before each pulse it relaxes the device from its last
@@ -33,11 +34,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
+
+from ._fields import NON_NEGATIVE, POSITIVE, check, param
 
 __all__ = [
     "Mode",
@@ -63,20 +66,6 @@ __all__ = [
 _BARRIER_REL_TOL = 1e-9
 
 
-def _require_finite(obj, allow_inf: tuple[str, ...] = ()) -> None:
-    """Refuse NaN in any float field of the dataclass ``obj``, and an
-    infinity in any but those named in ``allow_inf``; the message names the
-    field."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type not in ("float", float) or math.isfinite(value):
-            continue
-        if math.isnan(value):
-            raise ValueError(f"{f.name} must not be NaN")
-        if f.name not in allow_inf:
-            raise ValueError(f"{f.name} must be finite")
-
-
 class Mode(Enum):
     FACILITATING = "facilitating"
     SATURATING = "saturating"
@@ -90,6 +79,9 @@ class EventLabel(Enum):
 @dataclass(frozen=True)
 class DeviceParams:
     """Device constants. Conductances in siemens, times in seconds.
+
+    No field may be NaN, only e0 and tau_acc may be infinite, and g_eq0 and
+    g_floor must lie in [g_min, g_max]; other domains are declared below.
 
     Attributes:
         g_min, g_max: hard conductance bounds.
@@ -118,48 +110,36 @@ class DeviceParams:
             if False every barrier crossing potentiates.
     """
 
-    g_min: float = 2.5e-6
+    g_min: float = param(2.5e-6, POSITIVE)
     g_max: float = 3.5e-6
     g_eq0: float = 2.9e-6
     v_th: float = 1.0
-    v0: float = 1.5
-    c_amp: float = 0.05
-    u_dev: float = 0.2
-    tau_f_dev: float = 0.5
-    tau_rec_dev: float = 0.05
-    tau_d_base: float = 0.5
-    gamma: float = 0.5
-    tau_d_min: float = 0.1
-    tau_d_max: float = 2.0
-    dt_ref: float = 0.1
-    kappa_sat: float = 0.18
+    v0: float = param(1.5, POSITIVE)
+    c_amp: float = param(0.05, NON_NEGATIVE)
+    u_dev: float = param(0.2, ("be in (0, 1]", lambda u: 0.0 < u <= 1.0))
+    tau_f_dev: float = param(0.5, POSITIVE)
+    tau_rec_dev: float = param(0.05, POSITIVE)
+    tau_d_base: float = param(0.5, POSITIVE)
+    gamma: float = param(0.5, NON_NEGATIVE)
+    tau_d_min: float = param(0.1, POSITIVE)
+    tau_d_max: float = param(2.0, POSITIVE)
+    dt_ref: float = param(0.1, POSITIVE)
+    kappa_sat: float = param(0.18, ("be in [0, 1)", lambda k: 0.0 <= k < 1.0))
     g_floor: float = 2.5e-6
     g_c: float = 3.02e-6
-    sigma_s: float = 0.02e-6
-    e0: float = 0.6e-9
-    beta: float = 2.0
-    tau_acc: float = 30.0
+    sigma_s: float = param(0.02e-6, POSITIVE)
+    e0: float = param(0.6e-9, POSITIVE, inf=True)
+    beta: float = param(2.0, NON_NEGATIVE)
+    tau_acc: float = param(30.0, POSITIVE, inf=True)
     dg_nv: float = 0.05e-6
     t_rec_min: float = 1.0
     polarity_sensitive: bool = False
 
     def __post_init__(self) -> None:
-        _require_finite(self, allow_inf=("e0", "tau_acc"))
+        check(self)
         for name in ("g_eq0", "g_floor"):
-            if not (0.0 < self.g_min <= getattr(self, name) <= self.g_max):
-                raise ValueError(f"require 0 < g_min <= {name} <= g_max")
-        for name in ("v0", "tau_f_dev", "tau_rec_dev", "tau_d_base",
-                     "tau_d_min", "tau_d_max", "tau_acc", "dt_ref", "e0",
-                     "sigma_s"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("c_amp", "gamma", "beta"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not (0.0 < self.u_dev <= 1.0):
-            raise ValueError("u_dev must be in (0, 1]")
-        if not (0.0 <= self.kappa_sat < 1.0):
-            raise ValueError("kappa_sat must be in [0, 1)")
+            if not self.g_min <= getattr(self, name) <= self.g_max:
+                raise ValueError(f"{name} must lie in [g_min, g_max]")
         if self.tau_d_min > self.tau_d_max:
             raise ValueError("tau_d_min must not exceed tau_d_max")
 
@@ -191,12 +171,10 @@ class Pulse:
 
     t: float
     v: float
-    w: float
+    w: float = param(domain=POSITIVE)
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.w > 0.0:
-            raise ValueError("pulse width w must be > 0")
+        check(self)
 
 
 def initial_state(params: DeviceParams, t0: float = 0.0) -> DeviceState:
@@ -228,10 +206,10 @@ def conductance(state: DeviceState, t=None):
     """
     if t is None:
         return state.g_eq + state.delta_g
-    if np.any(np.less(t, state.t_last)):
+    if not np.all(np.greater_equal(t, state.t_last)):
         raise ValueError(
-            f"time reversal: t={float(np.min(t))} is before "
-            f"state.t_last={state.t_last}")
+            f"time reversal: t={float(np.min(t))} is not at or after "
+            f"t_last={state.t_last}")
     return _read(_values(state), t)
 
 
@@ -241,8 +219,8 @@ def _relax(params: DeviceParams, t: float, t_last: float, u, x, delta_g,
     ``t``: delta_g and u decay exponentially, x recovers toward 1 and the
     energy accumulator leaks with tau_acc. ``decay_to`` and the kernel both
     relax through it."""
-    if t < t_last:
-        raise ValueError(f"time reversal: t={t} is before state.t_last={t_last}")
+    if not t >= t_last:
+        raise ValueError(f"time reversal: t={t} is not at or after t_last={t_last}")
     dt = t - t_last
     if dt == 0.0:
         return u, x, delta_g, acc
@@ -456,6 +434,8 @@ def iv_sweep(
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     v = np.asarray(waveform, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("waveform samples must be finite")
     s = _values(state)
     # Sample k sits at t_last + dt + ... + dt, k additions of dt.
     times = itertools.accumulate(itertools.repeat(dt, v.size - 1),

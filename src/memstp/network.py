@@ -31,6 +31,7 @@ import numpy as np
 
 from . import device as dev
 from . import neuron as nrn
+from ._fields import NON_NEGATIVE, POSITIVE, check, param
 from .device import DeviceParams, Mode
 from .protocols import PulseTrain, _fold_train
 
@@ -65,22 +66,20 @@ class PatternSpec:
 
     order: PatternOrder = PatternOrder.BA
     train: PulseTrain = PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.25)
-    gap: float = 0.25
+    gap: float = param(0.25, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        if not self.gap >= 0.0:
-            raise ValueError("gap must be >= 0")
+        check(self)
 
 
 @dataclass(frozen=True)
 class StaticSynapse:
     """Fixed resistor: injects v/R only while one of its pulses is on."""
 
-    resistance: float
+    resistance: float = param(domain=POSITIVE)
 
     def __post_init__(self) -> None:
-        if not self.resistance > 0.0:
-            raise ValueError("resistance must be > 0")
+        check(self)
 
     @property
     def g(self) -> float:
@@ -92,16 +91,12 @@ class RCSynapse:
     """Resistor-capacitor control: pulse current low-passed with tau = R*C,
     plus the standing read-bias current through R."""
 
-    resistance: float
-    capacitance: float
+    resistance: float = param(domain=POSITIVE)
+    capacitance: float = param(domain=POSITIVE)
     read_v: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("resistance", "capacitance"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if not math.isfinite(self.read_v):
-            raise ValueError("read_v must be finite")
+        check(self)
 
     @property
     def g(self) -> float:
@@ -120,8 +115,7 @@ class MemristiveSynapse:
     read_v: float = 0.2
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.read_v):
-            raise ValueError("read_v must be finite")
+        check(self)
 
 
 Synapse = Union[StaticSynapse, RCSynapse, MemristiveSynapse]
@@ -132,24 +126,20 @@ class Network:
     topology: str
     synapses: tuple[Synapse, ...]
     neuron: nrn.NeuronParams
-    dt: float = 1e-3
-    g0_jitter: float = 0.0
+    dt: float = param(1e-3, POSITIVE)
+    g0_jitter: float = param(0.0, NON_NEGATIVE)
     force_mode: Optional[Mode] = None
     include_write_charge: bool = True
-    g_post_delay: float = 10e-3
-    lead: float = 0.1
-    tail: float = 0.5
+    g_post_delay: float = param(10e-3, POSITIVE)
+    lead: float = param(0.1, NON_NEGATIVE)
+    tail: float = param(0.5, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
+        check(self)
         if len(self.synapses) != 2:
             raise ValueError(f"synapses must hold exactly two synapses, got "
                              f"{len(self.synapses)}")
         nrn._check_dt(self.neuron, self.dt)
-        if not self.g_post_delay > 0.0:
-            raise ValueError("g_post_delay must be > 0")
-        for name in ("lead", "tail", "g0_jitter"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

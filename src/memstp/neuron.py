@@ -27,10 +27,12 @@ is the event path's oracle. Both paths take the Euler coefficients from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
+
+from ._fields import NON_NEGATIVE, POSITIVE, check, param
 
 __all__ = [
     "NeuronParams",
@@ -62,29 +64,22 @@ def _block_steps(rows: int) -> int:
 
 @dataclass(frozen=True)
 class NeuronParams:
-    c_m: float = 200e-12
-    g_l: float = 4e-9
+    """Membrane constants. No field may be NaN; only v_peak may be infinite,
+    for a membrane that never fires."""
+
+    c_m: float = param(200e-12, POSITIVE)
+    g_l: float = param(4e-9, POSITIVE)
     e_l: float = -0.070
     v_t: float = -0.050
-    delta_t: float = 0.002
-    v_peak: float = 0.0
+    delta_t: float = param(0.002, NON_NEGATIVE)
+    v_peak: float = param(0.0, inf=True)
     v_reset: float = -0.060
-    t_ref: float = 0.002
+    t_ref: float = param(0.002, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if math.isnan(value):
-                raise ValueError(f"{f.name} must not be NaN")
-            # An infinite v_peak is a membrane that never fires.
-            if math.isinf(value) and f.name != "v_peak":
-                raise ValueError(f"{f.name} must be finite")
-        if self.c_m <= 0.0 or self.g_l <= 0.0:
-            raise ValueError("c_m and g_l must be > 0")
+        check(self)
         if self.v_reset >= self.v_peak:
             raise ValueError("v_reset must be below v_peak")
-        if self.delta_t < 0.0 or self.t_ref < 0.0:
-            raise ValueError("delta_t and t_ref must be >= 0")
 
     @property
     def tau_m(self) -> float:

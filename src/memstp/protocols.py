@@ -16,6 +16,7 @@ import numpy as np
 
 from . import device as dev
 from . import fitting
+from ._fields import AT_LEAST_ONE, POSITIVE, check, param
 from .device import DeviceParams, DeviceState, EventLabel, Mode, Pulse
 
 __all__ = [
@@ -37,17 +38,13 @@ __all__ = [
 class PulseTrain:
     """n pulses of amplitude v and width w, one every t_int seconds."""
 
-    n: int = 3
+    n: int = param(3, AT_LEAST_ONE)
     v: float = -4.0
-    w: float = 10e-6
+    w: float = param(10e-6, POSITIVE)
     t_int: float = 0.4
 
     def __post_init__(self) -> None:
-        dev._require_finite(self)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not self.w > 0.0:
-            raise ValueError("pulse width w must be > 0")
+        check(self)
         if not self.t_int > self.w:
             raise ValueError("t_int must exceed the pulse width")
 
@@ -65,19 +62,15 @@ class ExperimentPlan:
     """A train repeated with recovery gaps, plus read times."""
 
     train: PulseTrain = PulseTrain()
-    repeats: int = 600
+    repeats: int = param(600, AT_LEAST_ONE)
     t_rec: float = 10.0
-    sample_dt: float = 1e-3
-    g_post_delay: float = 10e-3
+    sample_dt: float = param(1e-3, POSITIVE)
+    g_post_delay: float = param(10e-3, POSITIVE)
 
     def __post_init__(self) -> None:
-        dev._require_finite(self)
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        check(self)
         if not self.t_rec > self.train.duration:
             raise ValueError("t_rec must exceed the train duration")
-        if not (self.sample_dt > 0.0 and self.g_post_delay > 0.0):
-            raise ValueError("sample_dt and g_post_delay must be > 0")
         if not self.g_post_delay < self.t_rec:
             raise ValueError("g_post_delay must be shorter than t_rec")
 
@@ -97,13 +90,12 @@ class EventRecord(NamedTuple):
 class BinSpec:
     lo: float
     hi: float
-    n_bins: int
+    n_bins: int = param(domain=AT_LEAST_ONE)
 
     def __post_init__(self) -> None:
+        check(self)
         if self.lo >= self.hi:
             raise ValueError("lo must be below hi")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
 
     @property
     def width(self) -> float:
@@ -162,8 +154,11 @@ def train_trace(
     sample at or after a pulse reads the state that pulse left; reads never
     change the state.
     """
-    if sample_dt <= 0.0:
+    if not sample_dt > 0.0:
         raise ValueError("sample_dt must be > 0")
+    for name, value in (("t0", t0), ("tail", tail)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     span = train.duration + tail
     try:
         times = np.arange(t0, t0 + span, sample_dt)

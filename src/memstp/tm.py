@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import POSITIVE, check, param
+
 __all__ = [
     "TMParams",
     "TMState",
@@ -26,18 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TMParams:
-    a: float = 1.0
-    u_cap: float = 0.2
-    tau_rec: float = 0.05
-    tau_f: float = 0.5
+    a: float = param(1.0, POSITIVE)
+    u_cap: float = param(0.2, ("be in [0, 1]", lambda u: 0.0 <= u <= 1.0))
+    tau_rec: float = param(0.05, POSITIVE)
+    tau_f: float = param(0.5, POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError("a must be > 0")
-        if not (0.0 <= self.u_cap <= 1.0):
-            raise ValueError("u_cap must be in [0, 1]")
-        if self.tau_rec <= 0.0 or self.tau_f <= 0.0:
-            raise ValueError("time constants must be > 0")
+        check(self)
 
     @classmethod
     def facilitation_only(cls, a: float, u_cap: float, tau_f: float) -> "TMParams":

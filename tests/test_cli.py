@@ -177,7 +177,7 @@ def test_non_positive_pulse_width_rejected(tmp_path, capsys, preset, w):
                                "overrides": {"train": {"v": 0, "w": w}}}))
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
-    assert "pulse width w must be > 0" in capsys.readouterr().err
+    assert "'train': w must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

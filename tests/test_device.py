@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from memstp import device as dev
+from memstp import network, neuron, protocols, tm
 from memstp.device import DeviceParams, EventLabel, Mode, Pulse
-from memstp.protocols import ExperimentPlan, PulseTrain
+from memstp.protocols import BinSpec, ExperimentPlan, PulseTrain
+from memstp.tm import TMParams
 
 
 @pytest.fixture
@@ -25,39 +29,110 @@ def state(params):
 # Validation of the kernel's inputs
 # ---------------------------------------------------------------------------
 
-DEVICE_FLOATS = [
-    "g_min", "g_max", "g_eq0", "v_th", "v0", "c_amp", "u_dev", "tau_f_dev",
-    "tau_rec_dev", "tau_d_base", "gamma", "tau_d_min", "tau_d_max", "dt_ref",
-    "kappa_sat", "g_floor", "g_c", "sigma_s", "e0", "beta", "tau_acc",
-    "dg_nv", "t_rec_min",
-]
+# Per float field: the refused values at its domain's edge and the words that
+# end "<field> must ...", or None for a field without a single-field domain.
+POSITIVE = ([0.0, -5e-324], "be > 0")
+NON_NEGATIVE = ([-5e-324], "be >= 0")
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+DEVICE_DOMAINS = {
+    "g_min": POSITIVE, "g_max": None, "g_eq0": None, "v_th": None,
+    "v0": POSITIVE, "c_amp": NON_NEGATIVE,
+    "u_dev": ([0.0, ABOVE_ONE], "be in (0, 1]"), "tau_f_dev": POSITIVE,
+    "tau_rec_dev": POSITIVE, "tau_d_base": POSITIVE, "gamma": NON_NEGATIVE,
+    "tau_d_min": POSITIVE, "tau_d_max": POSITIVE, "dt_ref": POSITIVE,
+    "kappa_sat": ([-5e-324, 1.0], "be in [0, 1)"), "g_floor": None,
+    "g_c": None, "sigma_s": POSITIVE, "e0": POSITIVE, "beta": NON_NEGATIVE,
+    "tau_acc": POSITIVE, "dg_nv": None, "t_rec_min": None,
+}
 MAY_BE_INFINITE = {"e0", "tau_acc"}  # inf = no non-volatile step, no leak
 
 
 def test_device_float_fields_are_listed():
     names = {f.name for f in dataclasses.fields(DeviceParams)}
-    assert names - {"polarity_sensitive"} == set(DEVICE_FLOATS)
+    assert names - {"polarity_sensitive"} == set(DEVICE_DOMAINS)
 
 
 def _pulse(**kw):
     return Pulse(**{"t": 0.0, "v": -4.0, "w": 1e-5, **kw})
 
 
-@pytest.mark.parametrize("make, field, value", [
-    (make, field, value)
-    for make, names in [(DeviceParams, DEVICE_FLOATS),
-                        (_pulse, ["t", "v", "w"]),
-                        (PulseTrain, ["v", "w", "t_int"]),
-                        (ExperimentPlan, ["t_rec", "sample_dt", "g_post_delay"])]
-    for field in names
-    for value in (math.nan, math.inf, -math.inf)
-    if not (field in MAY_BE_INFINITE and value == math.inf)])
-def test_kernel_inputs_refuse_nan_and_infinities(make, field, value):
+def refusals(make, domains, may_be_infinite=()):
+    """(make, field, value, message) for NaN, both infinities and the edge
+    values of each field of ``domains``; a field that may be infinite is
+    refused only -inf, by its domain."""
+    for field, domain in domains.items():
+        edges, words = domain or ([], None)
+        cases = [(math.nan, "not be NaN"), (math.inf, "be finite"),
+                 (-math.inf, "be finite")]
+        if field in may_be_infinite:
+            cases[1:] = [(-math.inf, words)]
+        for value, end in cases + [(value, words) for value in edges]:
+            yield make, field, value, f"{field} must {end}"
+
+
+@pytest.mark.parametrize("make, field, value, message", [
+    case for args in [
+        (DeviceParams, DEVICE_DOMAINS, MAY_BE_INFINITE),
+        (_pulse, {"t": None, "v": None, "w": POSITIVE}),
+        (PulseTrain, {"v": None, "w": POSITIVE, "t_int": None}),
+        (ExperimentPlan, {"t_rec": None, "sample_dt": POSITIVE,
+                          "g_post_delay": POSITIVE}),
+        (lambda **kw: BinSpec(**{"lo": 0.0, "hi": 1.0, "n_bins": 3, **kw}),
+         {"lo": None, "hi": None}),
+        (TMParams, {"a": POSITIVE, "u_cap": ([-5e-324, ABOVE_ONE],
+                                             "be in [0, 1]"),
+                    "tau_rec": POSITIVE, "tau_f": POSITIVE}),
+    ] for case in refusals(*args)])
+def test_kernel_inputs_refuse_nan_and_infinities(make, field, value, message):
     # NaN fails every comparison, so a check written `x <= 0` lets it
     # through: DeviceParams(v0=nan) used to build a device whose every
-    # write returned G = nan.
-    with pytest.raises(ValueError, match=f"^{field} must"):
+    # write returned G = nan, and TMParams(a=nan) a synapse of NaN peaks.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (DeviceParams, "c_amp", 0.0), (DeviceParams, "gamma", 0.0),
+    (DeviceParams, "beta", 0.0), (DeviceParams, "u_dev", 1.0),
+    (DeviceParams, "kappa_sat", 0.0), (DeviceParams, "v0", 5e-324),
+    (PulseTrain, "w", 5e-324), (ExperimentPlan, "sample_dt", 5e-324),
+    (TMParams, "u_cap", 0.0), (TMParams, "u_cap", 1.0),
+    (TMParams, "tau_f", 5e-324),
+])
+def test_parameters_accept_the_edge_of_their_domain(make, field, value):
+    assert getattr(make(**{field: value}), field) == value
+
+
+# Results and states, which the package builds itself, not parameters.
+NOT_PARAMETERS = {"DeviceState", "NeuronState", "TMState", "TrialBatch",
+                  "BinStats", "EventRecord"}
+
+
+def test_every_float_parameter_refuses_nan():
+    # Walks the public dataclasses, so a float field added later cannot
+    # skip the rule.
+    valid = {Pulse: _pulse(), BinSpec: BinSpec(0.0, 1.0, 3),
+             network.StaticSynapse: network.StaticSynapse(1e5),
+             network.RCSynapse: network.RCSynapse(1e5, 1e-6),
+             network.MemristiveSynapse: network.MemristiveSynapse(
+                 DeviceParams()),
+             network.Network: network.build_detector("sequence_detector")}
+    classes = {getattr(m, name) for m in (dev, protocols, network, neuron, tm)
+               for name in m.__all__ if name not in NOT_PARAMETERS
+               and dataclasses.is_dataclass(getattr(m, name))}
+    assert {c.__name__ for c in classes} == {
+        "DeviceParams", "Pulse", "PulseTrain", "ExperimentPlan", "BinSpec",
+        "NeuronParams", "TMParams", "PatternSpec", "StaticSynapse",
+        "RCSynapse", "MemristiveSynapse", "Network"}
+    for cls in classes:
+        base = valid[cls] if cls in valid else cls()
+        floats = [name for name, hint in typing.get_type_hints(cls).items()
+                  if hint is float]
+        assert floats or cls is network.MemristiveSynapse
+        for name in floats:
+            with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+                dataclasses.replace(base, **{name: math.nan})
 
 
 @pytest.mark.parametrize("field", sorted(MAY_BE_INFINITE))
@@ -75,6 +150,17 @@ def test_kernel_width_check_refuses_nan(params, state, w):
         next(dev._fold(dev._values(state), params, [(0.0, -4.0)], w))
     with pytest.raises(ValueError, match="dt must be > 0"):
         dev.iv_sweep(state, params, np.ones(3), w)
+
+
+@pytest.mark.parametrize("sample", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 3])
+def test_iv_sweep_refuses_a_non_finite_sample(params, state, sample, at):
+    # A NaN sample used to leave acc = nan for the rest of the sweep, so the
+    # barrier could never be crossed again, with no error.
+    waveform = np.full(6, 2.0)
+    waveform[at] = sample
+    with pytest.raises(ValueError, match="waveform samples must be finite"):
+        dev.iv_sweep(state, params, waveform, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +189,11 @@ def test_decay_seven_tau_returns_near_equilibrium(params):
     assert abs(dev.conductance(out) - out.g_eq) < 1e-3 * offset
 
 
-def test_decay_time_reversal_rejected(params, state):
+@pytest.mark.parametrize("dt", [-1e-9, math.nan])
+def test_decay_time_reversal_rejected(params, state, dt):
+    # A NaN time used to pass `t < t_last` and return an all-NaN state.
     with pytest.raises(ValueError, match="time reversal"):
-        dev.decay_to(state, params, state.t_last - 1e-9)
+        dev.decay_to(state, params, state.t_last + dt)
 
 
 @given(
@@ -161,7 +249,8 @@ def test_conductance_read_is_closed_form_relaxation(params):
         assert dev.conductance(s, float(t)) == g
 
 
-@pytest.mark.parametrize("t", [-1e-9, np.array([0.1, -1e-9])])
+@pytest.mark.parametrize("t", [-1e-9, np.array([0.1, -1e-9]), math.nan,
+                               np.array([0.1, math.nan])])
 def test_conductance_read_time_reversal_rejected(state, t):
     with pytest.raises(ValueError, match="time reversal"):
         dev.conductance(state, t)

@@ -220,26 +220,32 @@ def test_network_refuses_other_than_two_synapses(count):
 
 
 NAN, INF = math.nan, math.inf
+POSITIVE = ([0.0, -5e-324], "be > 0")
+NON_NEGATIVE = ([-5e-324], "be >= 0")
 
 
-@pytest.mark.parametrize("make, field, value", [
-    (make, field, value) for make, field, values in [
-        (PatternSpec, "gap", [NAN]),
-        (StaticSynapse, "resistance", [NAN, 0.0, -INF]),
+@pytest.mark.parametrize("make, field, value, message", [
+    (make, field, value, f"{field} must {end}")
+    for make, field, (edges, words) in [
+        (PatternSpec, "gap", NON_NEGATIVE),
+        (StaticSynapse, "resistance", POSITIVE),
         (lambda **kw: RCSynapse(resistance=1.0, **kw), "capacitance",
-         [NAN, 0.0]),
+         POSITIVE),
         (lambda **kw: RCSynapse(capacitance=1.0, **kw), "resistance",
-         [NAN, -1.0]),
-        (lambda **kw: RCSynapse(1.0, 1.0, **kw), "read_v", [NAN, INF, -INF]),
+         POSITIVE),
+        (lambda **kw: RCSynapse(1.0, 1.0, **kw), "read_v", ([], None)),
         (lambda **kw: MemristiveSynapse(DeviceParams(), **kw), "read_v",
-         [NAN, INF, -INF]),
-        (_sequence, "g0_jitter", [NAN, INF, -1e-9]),
-        (_sequence, "lead", [NAN, INF, -0.1]),
-        (_sequence, "tail", [NAN, INF, -0.1]),
-    ] for value in values])
+         ([], None)),
+        (_sequence, "dt", POSITIVE),
+        (_sequence, "g0_jitter", NON_NEGATIVE),
+        (_sequence, "g_post_delay", POSITIVE),
+        (_sequence, "lead", NON_NEGATIVE),
+        (_sequence, "tail", NON_NEGATIVE),
+    ] for value, end in [(NAN, "not be NaN"), (INF, "be finite"),
+                         (-INF, "be finite"), *((v, words) for v in edges)]])
 def test_network_dataclasses_refuse_nan_and_meaningless_values(make, field,
-                                                              value):
+                                                              value, message):
     # NaN fails every comparison, so a check written `x <= 0` lets it
     # through: a NaN resistance would run as a synapse that never fires.
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make(**{field: value})

@@ -332,6 +332,17 @@ def test_params_reject_infinity_naming_the_field(field, value):
         NeuronParams(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, words", [
+    ("c_m", 0.0, "be > 0"), ("c_m", -5e-324, "be > 0"), ("g_l", 0.0, "be > 0"),
+    ("delta_t", -5e-324, "be >= 0"), ("t_ref", -5e-324, "be >= 0"),
+])
+def test_params_reject_values_outside_the_domain(field, value, words):
+    with pytest.raises(ValueError, match=f"^{field} must {words}$"):
+        NeuronParams(**{field: value})
+    edge = 5e-324 if words == "be > 0" else 0.0
+    assert getattr(NeuronParams(**{field: edge}), field) == edge
+
+
 def test_params_accept_infinite_v_peak():
     assert NeuronParams(v_peak=math.inf).v_peak == math.inf
 

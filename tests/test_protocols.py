@@ -112,6 +112,27 @@ def test_drift_and_restore(params):
     assert all(max(r.peaks) <= params.g_max + 1e-18 for r in records)
 
 
+@pytest.mark.parametrize("kw, named", [
+    ({"sample_dt": math.nan}, "sample_dt"), ({"sample_dt": 0.0}, "sample_dt"),
+    ({"t0": math.nan}, "t0"), ({"t0": math.inf}, "t0"),
+    ({"tail": math.nan}, "tail"),
+])
+def test_train_trace_refuses_a_nan_argument_naming_it(params, kw, named):
+    # A NaN sample_dt or t0 used to reach np.arange and end in a MemoryError
+    # about a trace of "nan samples" (or of 1800 samples, for t0).
+    args = {"t0": 0.0, "sample_dt": 1e-3, **kw}
+    with pytest.raises(ValueError, match=f"^{named} must"):
+        pr.train_trace(dev.initial_state(params), params, pr.PulseTrain(),
+                       **args)
+
+
+def test_apply_train_refuses_a_nan_start(params):
+    # It used to return the peaks [nan, nan, nan].
+    with pytest.raises(ValueError, match="time reversal"):
+        pr.apply_train(dev.initial_state(params), params, pr.PulseTrain(),
+                       math.nan)
+
+
 def test_train_trace_shows_peaks_and_relaxation(params):
     train = pr.PulseTrain(n=3, v=-4.0, w=1e-5, t_int=0.4)
     state, times, values = pr.train_trace(
