@@ -1,13 +1,16 @@
 """Command-line front end: strict JSON run configs, figure-style experiment
 presets, seeded execution, and plot-ready CSV output with a reproducibility
 manifest. One writer creates every file, and its directory, only when it
-writes it; a failed write exits 3 naming the file."""
+writes it; a failed write exits 3 naming the file. A detector preset formats
+the line tail of each distinct trial once, and ``main`` builds its parser
+once per process."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import math
@@ -210,7 +213,8 @@ def emit_csv(path: Path | str, header: str, rows: Iterable[tuple],
 
     Callers name their own columns and give floats a '%.9g' field, so the
     file is plot-ready and 9 significant digits survive a round trip; every
-    line, the last included, is newline-terminated.
+    line, the last included, is newline-terminated. A row may carry text
+    formatted in advance, as the detector trials' shared tails are.
     """
     return _write(Path(path), itertools.chain(
         [header + "\n"], map((row_format + "\n").__mod__, rows)))
@@ -321,6 +325,24 @@ _TOPOLOGY_BY_PRESET = {
 }
 
 
+def _trial_rows(batch: network.TrialBatch, pattern: str) -> Iterable[tuple]:
+    """(index, "pattern,spiked,label,g0_S,n_spikes") of each trial: the tail
+    of each distinct row is formatted once, then repeated for the trials
+    that share it (every trial, or only its own). One iterator holds the
+    column lists it reads, so they are freed once the file is written."""
+    rows = batch.rows or len(batch)
+    # "pattern,spiked,label" of a row is heads[spiked * len(names) + label].
+    names = ("",) if batch.label is None else ("stp_s", "stp_f")
+    heads = [f"{pattern},{spiked},{name}" for spiked in (0, 1) for name in names]
+    picks = batch.spiked[:rows] * len(names) + (
+        0 if batch.label is None else batch.label[:rows])
+    tails = map("%s,%.9g,%d".__mod__, zip(
+        map(heads.__getitem__, picks.tolist()), batch.g0[:rows].tolist(),
+        batch.n_spikes[:rows].tolist()))
+    shared = map(itertools.repeat, tails, itertools.repeat(len(batch) // rows))
+    return zip(range(len(batch)), itertools.chain.from_iterable(shared))
+
+
 def _run_detector_preset(config: RunConfig, out: Path,
                          patterns: Sequence[PatternOrder]) -> dict:
     topology = _TOPOLOGY_BY_PRESET[config.preset]
@@ -343,14 +365,9 @@ def _run_detector_preset(config: RunConfig, out: Path,
         spec = dataclasses.replace(pattern, order=order)
         p_spike, batch = network.monte_carlo(
             net, spec, config.trials, config.seed)
-        labels = (itertools.repeat("") if batch.label is None else
-                  map(("stp_s", "stp_f").__getitem__, batch.label.tolist()))
         emit_csv(out / f"trials_{order.value}.csv",
                  "index,pattern,spiked,label,g0_S,n_spikes",
-                 zip(itertools.count(), itertools.repeat(order.value),
-                     batch.spiked.tolist(), labels, batch.g0.tolist(),
-                     batch.n_spikes.tolist()),
-                 "%d,%s,%d,%s,%.9g,%d")
+                 _trial_rows(batch, order.value), "%d,%s")
         del batch  # frees this order's columns before the next order runs
         summary[order.value] = p_spike
         print(f"{topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
@@ -550,9 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -137,6 +137,8 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         check(self)
+        if not self.g_min < self.g_max:  # energy_barrier divides by the span
+            raise ValueError("g_max must exceed g_min")
         for name in ("g_eq0", "g_floor"):
             if not self.g_min <= getattr(self, name) <= self.g_max:
                 raise ValueError(f"{name} must lie in [g_min, g_max]")

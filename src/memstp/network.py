@@ -153,8 +153,10 @@ class TrialBatch:
     ``spike_times[spike_offsets[i]:spike_offsets[i + 1]]``. Recorded
     (trials, steps) traces: ``membrane[:, k]`` is v at ``times[k]``, the end
     of step k; ``conductance[:, k]`` is G at ``times[k] - dt``, which drives
-    step k. A batch of identical trials shares one row, so its columns are
-    read-only broadcasts.
+    step k. ``rows`` is the number of distinct simulated rows, 1 or one per
+    trial: a batch that drew nothing has one row, whose results every trial
+    shares, so its columns are read-only broadcasts. None, as in a batch
+    built by hand, means one row per trial.
     """
 
     pattern: PatternOrder
@@ -168,6 +170,7 @@ class TrialBatch:
     times: np.ndarray
     membrane: Optional[np.ndarray] = None
     conductance: Optional[np.ndarray] = None
+    rows: Optional[int] = None
 
     def __len__(self) -> int:
         return self.n_spikes.size
@@ -578,5 +581,6 @@ def monte_carlo(
         spike_times=spike_times, spike_offsets=offsets, g0=column(g0),
         saturating=column(sat), g_post=column(g_post),
         label=column(None if first is None else g_post >= g0),
-        times=times_out, membrane=column(v), conductance=column(g_trace))
+        times=times_out, membrane=column(v), conductance=column(g_trace),
+        rows=rows)
     return int(np.count_nonzero(batch.n_spikes)) / trials, batch

@@ -167,6 +167,16 @@ def test_device_override_out_of_range_rejected(tmp_path, capsys, patch):
     assert not list(out.glob("*.csv"))
 
 
+def test_tied_conductance_bounds_are_config_error(tmp_path, capsys):
+    # energy_barrier divides by g_max - g_min: tied bounds used to exit 3
+    # with a bare "float division by zero".
+    rc, out = _simulate_device_override(tmp_path, "fig2_stp", {
+        "g_min": 3e-6, "g_max": 3e-6, "g_eq0": 3e-6, "g_floor": 3e-6})
+    assert rc == cli.EXIT_CONFIG
+    assert "g_max must exceed g_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", ["fig2_stp", "fig4_sequence", "fig4_control"])
 @pytest.mark.parametrize("w", [0, -1])
 def test_non_positive_pulse_width_rejected(tmp_path, capsys, preset, w):
@@ -507,6 +517,47 @@ def test_emit_csv_rows_match_fmt_on_edge_values(tmp_path, monkeypatch):
         "ceiling,inf\nsse,1e-310\nconverged,0\niterations,4000\n")
 
 
+def _spelled_trials(batch, order):
+    """trials_<order>.csv spelled row by row from every trial's column
+    entries, broadcast or not."""
+    labels = ([""] * len(batch) if batch.label is None else
+              [("stp_s", "stp_f")[k] for k in batch.label.tolist()])
+    return _spelled(
+        ["index", "pattern", "spiked", "label", "g0_S", "n_spikes"],
+        [(i, order.value, int(n > 0), label, g0, n) for i, (label, g0, n)
+         in enumerate(zip(labels, batch.g0.tolist(), batch.n_spikes.tolist()))])
+
+
+@pytest.mark.parametrize("topology, trials, rows", [
+    ("control", 3000, 1), ("coincidence", 3000, 1), ("sequence", 300, 300)])
+def test_detector_trial_rows_spell_every_trial(tmp_path, monkeypatch,
+                                               topology, trials, rows):
+    # A batch that draws nothing holds one row, whose line tail the writer
+    # formats once for every trial; a drawing batch holds one row per trial.
+    # Either way the file must spell each trial's columns, one line each.
+    batches = {}
+    monte_carlo = cli.network.monte_carlo
+
+    def recorded(net, spec, *args):
+        p_spike, batch = monte_carlo(net, spec, *args)
+        batches[spec.order] = batch
+        return p_spike, batch
+
+    monkeypatch.setattr(cli.network, "monte_carlo", recorded)
+    out = tmp_path / topology
+    assert main(["detect", "--topology", topology, "--pattern", "both",
+                 "--trials", str(trials), "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert set(batches) == set(PatternOrder)
+    for order, batch in batches.items():
+        assert (len(batch), batch.rows) == (trials, rows)
+        text = (out / f"trials_{order.value}.csv").read_text()
+        assert text.count("\n") == trials + 1
+        assert text == _spelled_trials(batch, order)
+        tails = {line.split(",", 1)[1] for line in text.splitlines()[1:]}
+        assert len(tails) == rows
+
+
 def _simulate_network_override(tmp_path, preset, patch, trials=2):
     out = tmp_path / "out"
     cfg = tmp_path / "c.json"
@@ -739,3 +790,33 @@ def test_detector_run_does_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "trials_ba.csv").is_file()
+
+
+def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process: a run after a fit, an
+    # argparse error and --version must exit and write as the first did.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "fig4_sequence", "seed": 4,
+                               "trials": 50}))
+    header, rows, _ = _FIT_INPUTS["tm"]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", str(cfg), "--out", str(first)]) == 0
+    assert main(["fit", "tm", "--input", str(tmp_path / "in.csv"),
+                 "--out", str(tmp_path / "fit")]) == 0
+    for argv, code in ((["detect", "--topology", "sequence",
+                         "--pattern", "abc"], 2), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "invalid choice: 'abc'" in captured.err
+    assert captured.out.splitlines()[-1] == cli.__version__
+    assert main(["simulate", "--config", str(cfg), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == ["manifest.json", "trials_ab.csv", "trials_ba.csv"]
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert cli.build_parser() is not cli.build_parser()

@@ -92,6 +92,14 @@ def test_kernel_inputs_refuse_nan_and_infinities(make, field, value, message):
         make(**{field: value})
 
 
+@pytest.mark.parametrize("g_max", [3e-6, math.nextafter(3e-6, 0.0)])
+def test_device_params_refuse_g_max_not_above_g_min(g_max):
+    # energy_barrier divides by g_max - g_min, so tied bounds are refused
+    # at construction, before the bounds of g_eq0 and g_floor.
+    with pytest.raises(ValueError, match="^g_max must exceed g_min$"):
+        DeviceParams(g_min=3e-6, g_max=g_max, g_eq0=g_max, g_floor=g_max)
+
+
 @pytest.mark.parametrize("make, field, value", [
     (DeviceParams, "c_amp", 0.0), (DeviceParams, "gamma", 0.0),
     (DeviceParams, "beta", 0.0), (DeviceParams, "u_dev", 1.0),
