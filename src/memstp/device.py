@@ -51,7 +51,6 @@ __all__ = [
     "initial_state",
     "conductance",
     "decay_to",
-    "pulse_energy",
     "energy_barrier",
     "apply_pulse",
     "p_saturating",
@@ -245,13 +244,6 @@ def decay_to(state: DeviceState, params: DeviceParams, t: float) -> DeviceState:
 def _joule(g, v: float, w: float):
     """The pulse-energy law g * v^2 * w, unchecked."""
     return g * v * v * w
-
-
-def pulse_energy(g: float, v: float, w: float) -> float:
-    """Joule energy g * v^2 * w deposited by a rectangular pulse."""
-    if not w > 0.0:
-        raise ValueError("pulse width w must be > 0")
-    return _joule(g, v, w)
 
 
 def energy_barrier(params: DeviceParams, g_eq: float) -> float:

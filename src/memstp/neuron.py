@@ -3,10 +3,10 @@
 c_m dv/dt = -g_l (v - e_l) + g_l delta_t exp((v - v_t)/delta_t) + i_in
 
 Explicit fixed-step integration; with delta_t = 0 the exponential term is
-dropped (leaky IF). ``step`` advances one membrane; ``run_traces`` advances
-a batch of independent membranes together, one time step at a time, taking
-the input current in cache-sized blocks of steps. A batch of one membrane
-runs the same float operations on Python floats instead of 1-element arrays.
+dropped (leaky IF). ``run_traces`` advances a batch of independent membranes
+together, one time step at a time, taking the input current in cache-sized
+blocks of steps. A batch of one membrane runs the same float operations on
+Python floats instead of 1-element arrays.
 
 A leaky batch of more than one membrane that records no traces can instead
 take the event path, ``_integrate_events``, when its current comes as
@@ -27,7 +27,7 @@ is the event path's oracle. Both paths take the Euler coefficients from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -36,8 +36,6 @@ from ._fields import NON_NEGATIVE, POSITIVE, check, param
 
 __all__ = [
     "NeuronParams",
-    "NeuronState",
-    "step",
     "run_traces",
 ]
 
@@ -86,13 +84,6 @@ class NeuronParams:
         return self.c_m / self.g_l
 
 
-@dataclass(frozen=True)
-class NeuronState:
-    v_m: float
-    t_last_spike: Optional[float] = None
-    refrac_left: float = 0.0
-
-
 def _check_dt(params: NeuronParams, dt: float) -> None:
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
@@ -102,45 +93,12 @@ def _check_dt(params: NeuronParams, dt: float) -> None:
             f"(tau_m={params.tau_m})")
 
 
-def step(
-    state: NeuronState,
-    params: NeuronParams,
-    i_in: float,
-    dt: float,
-    t: Optional[float] = None,
-) -> tuple[NeuronState, bool]:
-    """Advance the membrane one step; returns (state, spiked).
-
-    During the refractory window (ceil(t_ref/dt) steps after a spike) the
-    membrane is clamped at v_reset and input is ignored. ``t`` (the time of
-    the step's end) is only used to stamp t_last_spike.
-    """
-    _check_dt(params, dt)
-    if state.refrac_left > 0.0:
-        # Count whole steps, so float residue in refrac_left adds no step.
-        steps_left = max(round(state.refrac_left / dt) - 1, 0)
-        return replace(state, v_m=params.v_reset,
-                       refrac_left=steps_left * dt), False
-
-    v = state.v_m
-    i_total = -params.g_l * (v - params.e_l) + i_in
-    if params.delta_t > 0.0:
-        arg = min((v - params.v_t) / params.delta_t, _EXP_ARG_MAX)
-        i_total += params.g_l * params.delta_t * math.exp(arg)
-    v = v + (dt / params.c_m) * i_total
-
-    if v >= params.v_peak:
-        return replace(
-            state, v_m=params.v_reset, t_last_spike=t,
-            refrac_left=math.ceil(params.t_ref / dt) * dt), True
-    return replace(state, v_m=v), False
-
-
 def _euler(params: NeuronParams, steps: int,
            dt: float) -> tuple[float, float, float, int, np.ndarray]:
-    """What both membrane paths share: v = coef*(rest + i) + alpha*v is
-    ``step``'s Euler update, ref_steps the steps held after a spike, and
-    times the step-end times of ``steps`` steps. Checks dt."""
+    """What both membrane paths share: v = coef*(rest + i) + alpha*v is the
+    leaky Euler update of the membrane equation, ref_steps the steps held
+    after a spike, and times the step-end times of ``steps`` steps. Checks
+    dt."""
     _check_dt(params, dt)
     return (1.0 - dt * params.g_l / params.c_m, dt / params.c_m,
             params.g_l * params.e_l, math.ceil(params.t_ref / dt),
@@ -174,11 +132,12 @@ def _integrate(
     (b - a, rows) array, with a row per membrane or one row for all of
     them. It is asked for consecutive blocks of ``_block_steps(rows)`` steps
     that cover the run once. The drive coef*(g_l*e_l + i) of a whole block
-    is computed at once. Each of its steps is then ``step`` over the batch:
-    v = drive + alpha*v, plus the capped exponential term if delta_t > 0,
-    then spike, reset and ceil(t_ref/dt) refractory steps. A single membrane
-    runs these float operations in the same order on Python floats, which
-    gives the same bits as its row in a batch without a numpy call per step.
+    is computed at once. Each of its steps is then one Euler step of the
+    batch: v = drive + alpha*v, plus the capped exponential term if
+    delta_t > 0, then spike, reset and ceil(t_ref/dt) refractory steps. A
+    single membrane runs these float operations in the same order on Python
+    floats, which gives the same bits as its row in a batch without a numpy
+    call per step.
     Fills column k of ``v_out`` with step k's membranes if given. Returns
     (step-end times, the spike times of all rows in row order, row offsets):
     row r's spike times are ``spike_times[offsets[r]:offsets[r + 1]]``.

@@ -1,6 +1,5 @@
 """Stimulus-protocol builders and runners: pulse trains with recovery gaps,
-per-event conductance records, binned mode statistics, and the rate/amplitude
-sweeps.
+per-event conductance records, and the rate/amplitude sweeps.
 
 Only pulses change a device. Conductance reads are instantaneous closed-form
 evaluations of the last pulse's state (``device.conductance(state, t)``):
@@ -23,15 +22,16 @@ __all__ = [
     "PulseTrain",
     "ExperimentPlan",
     "EventRecord",
-    "BinSpec",
-    "BinStats",
     "apply_train",
     "train_trace",
     "run_protocol",
-    "bin_statistics",
     "decay_sweep",
     "amplitude_sweep",
 ]
+
+_SWEEP_WIDTH = 10e-6
+_DECAY_AMPLITUDE = 4.0
+_DECAY_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -84,35 +84,6 @@ class EventRecord(NamedTuple):
     mode: Mode
     g_eq_before: float
     g_eq_after: float
-
-
-@dataclass(frozen=True)
-class BinSpec:
-    lo: float
-    hi: float
-    n_bins: int = param(domain=AT_LEAST_ONE)
-
-    def __post_init__(self) -> None:
-        check(self)
-        if self.lo >= self.hi:
-            raise ValueError("lo must be below hi")
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.n_bins
-
-
-@dataclass
-class BinStats:
-    """Per-bin event statistics; p_f/p_s are NaN where a bin is empty."""
-
-    spec: BinSpec
-    counts: np.ndarray
-    p_f: np.ndarray
-    p_s: np.ndarray
-    empty: np.ndarray
-    underflow: int
-    overflow: int
 
 
 def _fold_train(s: tuple, params: DeviceParams, train: PulseTrain,
@@ -209,41 +180,10 @@ def run_protocol(
     return records, DeviceState(*s)
 
 
-def bin_statistics(records: Sequence[EventRecord], bins: BinSpec) -> BinStats:
-    """Histogram the records by g0 and compute per-bin label fractions.
-
-    g0 exactly at the upper edge lands in the last bin; values outside the
-    range are tallied in the underflow/overflow buckets rather than dropped.
-    """
-    counts = np.zeros(bins.n_bins, dtype=int)
-    f_counts = np.zeros(bins.n_bins, dtype=int)
-    underflow = overflow = 0
-    for rec in records:
-        if rec.g0 < bins.lo:
-            underflow += 1
-            continue
-        if rec.g0 > bins.hi:
-            overflow += 1
-            continue
-        idx = min(int((rec.g0 - bins.lo) // bins.width), bins.n_bins - 1)
-        counts[idx] += 1
-        if rec.label is EventLabel.STP_F:
-            f_counts[idx] += 1
-    empty = counts == 0
-    with np.errstate(invalid="ignore"):
-        p_f = np.where(empty, np.nan, f_counts / np.maximum(counts, 1))
-    p_s = np.where(empty, np.nan, 1.0 - p_f)
-    return BinStats(spec=bins, counts=counts, p_f=p_f, p_s=p_s, empty=empty,
-                    underflow=underflow, overflow=overflow)
-
-
 def decay_sweep(
     params: DeviceParams,
     t_ints: Sequence[float],
     rng: np.random.Generator,
-    amplitude: float = 4.0,
-    width: float = 10e-6,
-    n_samples: int = 200,
 ) -> list[tuple[float, fitting.FitResult]]:
     """Two-pulse trains at each inter-pulse interval; fit the post-train decay.
 
@@ -255,10 +195,12 @@ def decay_sweep(
     results: list[tuple[float, fitting.FitResult]] = []
     for t_int in t_ints:
         state = dev.initial_state(params)
-        train = PulseTrain(n=2, v=amplitude, w=width, t_int=t_int)
+        train = PulseTrain(n=2, v=_DECAY_AMPLITUDE, w=_SWEEP_WIDTH,
+                           t_int=t_int)
         state = dev.resample_mode_for_train(state, params, 0.0, rng)
         state, _ = apply_train(state, params, train, 0.0)
-        times = np.linspace(t_int + 1e-3, t_int + 4.0 * state.tau_d, n_samples)
+        times = np.linspace(t_int + 1e-3, t_int + 4.0 * state.tau_d,
+                            _DECAY_SAMPLES)
         fit = fitting.fit_decay(times - t_int, dev.conductance(state, times),
                                 state.g_eq)
         results.append((t_int, fit))
@@ -268,7 +210,6 @@ def decay_sweep(
 def amplitude_sweep(
     params: DeviceParams,
     amplitudes: Sequence[float],
-    width: float = 10e-6,
 ) -> list[tuple[float, float]]:
     """Single pulses of growing amplitude from identical reset states.
 
@@ -280,6 +221,6 @@ def amplitude_sweep(
     for v in amplitudes:
         state = dev.initial_state(params)
         g0 = dev.conductance(state)
-        state, _ = dev.apply_pulse(state, params, Pulse(t=0.0, v=v, w=width))
+        state, _ = dev.apply_pulse(state, params, Pulse(t=0.0, v=v, w=_SWEEP_WIDTH))
         out.append((v, (dev.conductance(state) - g0) / g0))
     return out

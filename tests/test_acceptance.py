@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from memstp import device as dev
 from memstp import fitting, protocols as pr, tm
 from memstp.cli import main as cli_main
@@ -48,7 +49,7 @@ def test_criterion_01_tm_oracle_equivalence():
         gaps = rng.uniform(2e-3, 0.5, n_spikes - 1)
         times = list(np.concatenate([[0.0], np.cumsum(gaps)]))
         closed = np.array(tm.peaks_for_train(params, times))
-        stepped = np.array(tm.integrate_reference(params, times, 10e-6))
+        stepped = np.array(oracles.integrate_reference(params, times, 10e-6))
         worst = max(worst, float(np.max(np.abs(stepped - closed) / closed)))
     elapsed = time.time() - t0
     assert worst < 1e-4
@@ -79,8 +80,8 @@ def test_criterion_03_mode_probability_trend():
     records, _ = pr.run_protocol(dev.initial_state(params), params, plan,
                                  np.random.default_rng(11))
     elapsed = time.time() - t0
-    stats = pr.bin_statistics(records,
-                              pr.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17))
+    stats = oracles.bin_statistics(
+        records, oracles.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17))
     occupied = [k for k in range(17) if not stats.empty[k]]
     for a, b in zip(occupied, occupied[1:]):
         se = math.sqrt(stats.p_s[a] * (1 - stats.p_s[a]) / stats.counts[a]

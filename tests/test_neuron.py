@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+import oracles
 from memstp import neuron as nrn
-from memstp.neuron import NeuronParams, NeuronState
+from memstp.neuron import NeuronParams
+from oracles import NeuronState
 
 
 def lif_params(**kw):
@@ -22,7 +24,7 @@ def test_rest_is_a_fixed_point():
     p = lif_params()
     s = NeuronState(v_m=p.e_l)
     for _ in range(100):
-        s, spiked = nrn.step(s, p, 0.0, 1e-3)
+        s, spiked = oracles.step(s, p, 0.0, 1e-3)
         assert not spiked
     assert s.v_m == pytest.approx(p.e_l, abs=1e-15)
 
@@ -32,7 +34,7 @@ def test_lif_subthreshold_steady_state():
     i_in = 0.5e-6  # v_inf = 0.5 V < v_peak
     s = NeuronState(v_m=p.e_l)
     for _ in range(20000):
-        s, _ = nrn.step(s, p, i_in, 1e-4)
+        s, _ = oracles.step(s, p, i_in, 1e-4)
     assert s.v_m == pytest.approx(p.e_l + i_in / p.g_l, rel=1e-6)
 
 
@@ -66,7 +68,7 @@ def test_spike_fires_at_exactly_v_peak():
     dt, i = 1e-4, 1e-9
     params = NeuronParams(delta_t=0.0, e_l=0.0,
                           v_peak=(dt / NeuronParams().c_m) * i)
-    _, spiked = nrn.step(NeuronState(v_m=0.0), params, i, dt, t=dt)
+    _, spiked = oracles.step(NeuronState(v_m=0.0), params, i, dt, t=dt)
     assert spiked
     _, _, (spikes,) = nrn.run_traces(params, np.full((1, 3), i), dt, v0=0.0)
     assert spikes[:1] == [dt]
@@ -75,7 +77,7 @@ def test_spike_fires_at_exactly_v_peak():
 def test_dt_stability_contract_rejected():
     p = lif_params()
     with pytest.raises(ValueError, match="stability"):
-        nrn.step(NeuronState(v_m=0.0), p, 0.0, p.tau_m)
+        oracles.step(NeuronState(v_m=0.0), p, 0.0, p.tau_m)
     with pytest.raises(ValueError):
         nrn.run_traces(p, np.zeros((1, 10)), p.tau_m)
 
@@ -113,7 +115,7 @@ def test_exponential_term_accelerates_spiking():
 def test_exponential_overflow_guarded():
     p = lif_params(delta_t=1e-3, v_t=0.1, v_peak=1.0)
     s = NeuronState(v_m=0.9)  # far above v_t: huge exponential argument
-    s, spiked = nrn.step(s, p, 0.0, 1e-3)
+    s, spiked = oracles.step(s, p, 0.0, 1e-3)
     assert spiked
     assert math.isfinite(s.v_m)
 
@@ -160,7 +162,7 @@ def test_fast_path_matches_step_loop_exactly(dt, t_ref):
     s = NeuronState(v_m=p.e_l)
     v_loop, spk_loop = [], []
     for k in range(current.size):
-        s, spiked = nrn.step(s, p, float(current[k]), dt, t=(k + 1) * dt)
+        s, spiked = oracles.step(s, p, float(current[k]), dt, t=(k + 1) * dt)
         v_loop.append(s.v_m)
         if spiked:
             spk_loop.append((k + 1) * dt)
@@ -222,10 +224,10 @@ def test_batched_exponential_rows_match_one_row_runs():
 
 
 def test_exponential_rows_match_step_loop():
-    # The batched loop and `step` evaluate the EIF equation in different
-    # float orders, and np.exp may differ from math.exp in the last ulp, so
-    # v agrees to a tolerance; spike steps agree exactly because no
-    # threshold crossing here is closer than 1e-9 V.
+    # The batched loop and `oracles.step` evaluate the EIF equation in
+    # different float orders, and np.exp may differ from math.exp in the
+    # last ulp, so v agrees to a tolerance; spike steps agree exactly
+    # because no threshold crossing here is closer than 1e-9 V.
     p = lif_params(delta_t=0.05, v_t=0.25, v_peak=0.3, t_ref=3e-3)
     p_no_reset = replace(p, v_peak=math.inf)
     dt = 1e-3
@@ -242,9 +244,9 @@ def test_exponential_rows_match_step_loop():
         for k in range(times.size):
             i_in = float(current[row, k])
             if s.refrac_left == 0.0:
-                v_free = nrn.step(s, p_no_reset, i_in, dt)[0].v_m
+                v_free = oracles.step(s, p_no_reset, i_in, dt)[0].v_m
                 assert abs(v_free - p.v_peak) > 1e-9
-            s, spiked = nrn.step(s, p, i_in, dt, t=float(times[k]))
+            s, spiked = oracles.step(s, p, i_in, dt, t=float(times[k]))
             v_loop.append(s.v_m)
             if spiked:
                 spk_loop.append(float(times[k]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from memstp import device as dev
 from memstp import protocols as pr
 from memstp.device import DeviceParams, EventLabel, Mode
@@ -237,20 +238,21 @@ def _record(g0, label=EventLabel.STP_F):
 
 
 def test_bin_width_17_bins():
-    spec = pr.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17)
+    spec = oracles.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17)
     assert spec.width == pytest.approx(0.0147059e-6, rel=1e-4)
 
 
 def test_bin_boundaries():
-    spec = pr.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17)
-    stats = pr.bin_statistics([_record(2.85e-6), _record(3.1e-6)], spec)
+    spec = oracles.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17)
+    stats = oracles.bin_statistics([_record(2.85e-6), _record(3.1e-6)],
+                                   spec)
     assert stats.counts[0] == 1
     assert stats.counts[16] == 1
 
 
 def test_bin_overflow_underflow_not_dropped():
-    spec = pr.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17)
-    stats = pr.bin_statistics(
+    spec = oracles.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17)
+    stats = oracles.bin_statistics(
         [_record(2.0e-6), _record(3.5e-6), _record(2.9e-6)], spec)
     assert stats.underflow == 1
     assert stats.overflow == 1
@@ -258,10 +260,10 @@ def test_bin_overflow_underflow_not_dropped():
 
 
 def test_bins_probabilities_sum_to_one():
-    spec = pr.BinSpec(lo=0.0, hi=1.0, n_bins=4)
+    spec = oracles.BinSpec(lo=0.0, hi=1.0, n_bins=4)
     recs = [_record(0.1, EventLabel.STP_F), _record(0.15, EventLabel.STP_S),
             _record(0.6, EventLabel.STP_S)]
-    stats = pr.bin_statistics(recs, spec)
+    stats = oracles.bin_statistics(recs, spec)
     for k in range(4):
         if not stats.empty[k]:
             assert stats.p_f[k] + stats.p_s[k] == pytest.approx(1.0)
@@ -271,8 +273,8 @@ def test_bins_probabilities_sum_to_one():
 @given(g0s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60))
 @settings(max_examples=100, deadline=None)
 def test_bin_assignment_total(g0s):
-    spec = pr.BinSpec(lo=0.2, hi=0.8, n_bins=7)
-    stats = pr.bin_statistics([_record(g) for g in g0s], spec)
+    spec = oracles.BinSpec(lo=0.2, hi=0.8, n_bins=7)
+    stats = oracles.bin_statistics([_record(g) for g in g0s], spec)
     assert int(stats.counts.sum()) + stats.underflow + stats.overflow == len(g0s)
 
 
@@ -281,7 +283,8 @@ def test_mode_probability_trend_monte_carlo(params):
     plan = make_plan(repeats=10_000)
     records, _ = pr.run_protocol(
         dev.initial_state(params), params, plan, np.random.default_rng(11))
-    stats = pr.bin_statistics(records, pr.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17))
+    stats = oracles.bin_statistics(
+        records, oracles.BinSpec(lo=2.85e-6, hi=3.1e-6, n_bins=17))
     idx = [k for k in range(17) if not stats.empty[k]]
     for a, b in zip(idx, idx[1:]):
         se = math.sqrt(
