@@ -99,6 +99,11 @@ def _check_seed(seed: Any, name: str) -> None:
     _expect(0 <= seed < 2 ** 64, f"{name} must fit in 64 unsigned bits")
 
 
+def _check_preset(preset: str) -> None:
+    _expect(preset in PRESET_NAMES,
+            f"unknown preset {preset!r} (known: {list(PRESET_NAMES)})")
+
+
 def _check_count(value: Any, name: str) -> None:
     _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
             f"{name} must be a positive integer")
@@ -141,8 +146,7 @@ def parse_config(text: str) -> RunConfig:
     _expect("preset" in doc, "missing required field 'preset'")
     preset = doc["preset"]
     _expect(isinstance(preset, str), "field 'preset' must be a string")
-    _expect(preset in PRESET_NAMES,
-            f"unknown preset {preset!r} (known: {list(PRESET_NAMES)})")
+    _check_preset(preset)
 
     seed = doc.get("seed", 0)
     _check_seed(seed, "field 'seed'")
@@ -260,14 +264,17 @@ def _device_params(config: RunConfig, **preset_fields) -> DeviceParams:
     return _patched(base, "device", config.overrides)
 
 
+_PROTOCOL_PLANS = {
+    "fig2_stp": ExperimentPlan(PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4),
+                               repeats=600, t_rec=10.0),
+    "fig2f_drift": ExperimentPlan(PulseTrain(n=3, v=4.0, w=10e-6, t_int=0.2),
+                                  repeats=20, t_rec=20.0),
+}
+
+
 def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
-    if config.preset == "fig2_stp":
-        train = PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4)
-        plan = ExperimentPlan(train=train, repeats=600, t_rec=10.0)
-    else:  # fig2f_drift
-        train = PulseTrain(n=3, v=4.0, w=10e-6, t_int=0.2)
-        plan = ExperimentPlan(train=train, repeats=20, t_rec=20.0)
-    train = _patched(train, "train", config.overrides)
+    plan = _PROTOCOL_PLANS[config.preset]
+    train = _patched(plan.train, "train", config.overrides)
     plan = _patched(dataclasses.replace(plan, train=train), "plan", config.overrides)
     params = _device_params(config)
     # Plot-ready conductance transient of one train from rest, built before
@@ -396,9 +403,10 @@ def _run_iv_preset(config: RunConfig, out: Path) -> dict:
 def run_config(config: RunConfig,
                patterns: Sequence[PatternOrder] = tuple(PatternOrder)) -> int:
     """Run ``config``'s preset (a detector preset runs the given pattern
-    orders), then write its manifest."""
+    orders), then write its manifest. An unknown preset writes nothing."""
+    _check_preset(config.preset)
     out = Path(config.out_dir)
-    if config.preset in ("fig2_stp", "fig2f_drift"):
+    if config.preset in _PROTOCOL_PLANS:
         resolved = _run_protocol_preset(config, out)
     elif config.preset == "fig3a_decay":
         resolved = _run_decay_preset(config, out)
@@ -406,7 +414,7 @@ def run_config(config: RunConfig,
         resolved = _run_amplitude_preset(config, out)
     elif config.preset in _TOPOLOGY_BY_PRESET:
         resolved = _run_detector_preset(config, out, patterns)
-    else:
+    elif config.preset == "iv_sweep":
         resolved = _run_iv_preset(config, out)
     write_manifest(out, config, resolved)
     return EXIT_OK

@@ -303,12 +303,13 @@ def _charge(g, train: PulseTrain, dt: float):
 
 class _Segment(NamedTuple):
     """The conductance g + delta_g*relax[k] of a ``_Drive`` on its steps
-    lo <= k < hi, where relax falls by rho per step."""
+    lo <= k < hi, where relax falls by rho per step. g and delta_g are one
+    value per row, or one float for all rows."""
 
     lo: int
     hi: int
-    g: np.ndarray
-    delta_g: np.ndarray
+    g: Union[float, np.ndarray]
+    delta_g: Union[float, np.ndarray]
     rho: float
 
 
@@ -317,7 +318,9 @@ class _Drive:
     """A synapse's current: scale*G, where G is given by smooth segments
     that cover the grid (0 if there are none), plus on each impulse's step
     its pulse charge. The step loop reads it by ``current``, the event path
-    by its segments and impulses (``_pieces``)."""
+    by its segments and impulses (``_pieces``). A memristor's G is its
+    conductance and scale its read bias; the RC control's G is its current
+    and scale 1."""
 
     segments: list[_Segment]
     impulses: list[tuple[int, Union[float, np.ndarray]]]  # (step, charge)
@@ -326,7 +329,7 @@ class _Drive:
 
     def conductance(self, a: int, b: int) -> np.ndarray:
         """G on the steps a..b-1 as a (b - a, rows) array."""
-        g = np.zeros((b - a, self.segments[0].g.size if self.segments else 1))
+        g = np.zeros((b - a, np.size(self.segments[0].g if self.segments else 0)))
         for s in self.segments:
             lo, hi = max(a, s.lo), min(b, s.hi)
             if lo < hi:
@@ -397,39 +400,33 @@ def _memristor_currents(
     return _Drive(segments, impulses, syn.read_v, relax), g_post
 
 
-def _rc_currents(
-    syn: RCSynapse,
-    pulse_times: Sequence[float],
-    train: PulseTrain,
-    grid: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    drive = _pulse_drive(syn, pulse_times, train, dt, grid.size)
-    # First-order low-pass y' = (x - y)/tau, explicit step with a = dt/tau:
-    # y[k] = a*x[k] + (1 - a)*y[k-1].
+def _rc_drive(syn: RCSynapse, pulse_times, train: PulseTrain, dt: float,
+              n: int) -> _Drive:
+    """The RC control's current: its pulses low-passed by the explicit step
+    y[k] = a*x[k] + (1 - a)*y[k-1], a = dt/tau, plus g*read_v. Between pulse
+    steps y falls by 1 - a per step, so each such span is one segment."""
     a = dt / syn.tau
-    out = np.empty(grid.size)
+    relax = np.empty(n)
     y = 0.0
-    for k, x in enumerate(drive.current(0, grid.size)[:, 0].tolist()):
+    for k, x in enumerate(_pulse_drive(syn, pulse_times, train, dt, n)
+                          .current(0, n)[:, 0].tolist()):
         y = a * x + (1.0 - a) * y
-        out[k] = y
-    return out + syn.g * syn.read_v
+        relax[k] = y
+    edges = sorted({0, n, *_pulse_step_indices(pulse_times, dt, n)})
+    return _Drive([_Segment(lo, hi, syn.g * syn.read_v, 1.0, 1.0 - a)
+                   for lo, hi in zip(edges, edges[1:])], [], 1.0, relax)
 
 
-def _pieces(
-    drives: Sequence[Optional[_Drive]],
-    n: int,
-) -> Optional[Iterator[nrn.Piece]]:
+def _pieces(drives: Sequence[_Drive],
+            n: int) -> Optional[Iterator[nrn.Piece]]:
     """The summed current of ``drives`` on the grid of ``n`` steps as the
     membrane's pieces, each built when the membrane reaches it.
 
     Breakpoints are the segment edges and the impulse steps; an impulse
     step's current is the drives' summed ``current`` of that step, in
-    synapse order, as the step loop sums it. None if a synapse has no drive
-    or a piece holds two decay rates.
+    synapse order, as the step loop sums it. None if a piece holds two
+    decay rates, or if a rate is not positive.
     """
-    if any(d is None for d in drives):
-        return None
     impulses = {k for d in drives for k, _ in d.impulses}
     edges = sorted({0, n, *impulses, *(k + 1 for k in impulses),
                     *(s.lo for d in drives for s in d.segments)})
@@ -437,8 +434,10 @@ def _pieces(
     spans = [(lo, hi, [(d, s) for d in drives for s in d.segments
                        if s.lo <= lo < s.hi])
              for lo, hi in zip(edges, edges[1:])]
-    if any(len({s.rho for _, s in held if np.any(s.delta_g)}) > 1
-           for lo, _, held in spans if lo not in impulses):
+    # The closed form takes log(rho); an RC step dt/tau >= 1 has rho <= 0.
+    if any(s.rho <= 0.0 for d in drives for s in d.segments) or any(
+            len({s.rho for _, s in held if np.any(s.delta_g)}) > 1
+            for lo, _, held in spans if lo not in impulses):
         return None
 
     def piece(lo: int, hi: int, held: list) -> nrn.Piece:
@@ -484,13 +483,12 @@ def monte_carlo(
     k))`` block, so it depends only on ``seed`` and i: the first N trials of
     a longer run equal an N-trial run. A batch that draws nothing (see
     _initial_draws) simulates one row and gives every trial its results.
-    A static or memristive synapse's current is a ``_Drive``; the step loop
-    asks each for blocks of steps, so without ``record_traces`` memory grows
-    with the trials, not with trials x steps. A leaky batch of many rows
-    without traces gives the membranes the drives as ``_pieces`` instead,
-    for ``neuron._integrate_events``; the rows that fail its certificate get
-    their drives rebuilt from their own draws. The RC current is one
-    precomputed column shared by all trials.
+    Each synapse's current is a ``_Drive``; the step loop asks each for
+    blocks of steps, so without ``record_traces`` memory grows with the
+    trials, not with trials x steps. A leaky batch of many rows without
+    traces gives the membranes the drives as ``_pieces`` instead, for
+    ``neuron._integrate_events``; the rows that fail its certificate get
+    their drives rebuilt from their own draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -517,39 +515,32 @@ def monte_carlo(
 
     def synapses(g_eq0, saturating):
         """The summed current(a, b) of the rows drawn as (g_eq0, saturating),
-        each synapse's ``_Drive`` (None for RC), the read-bias current before
-        the first pulse and (g0, saturating, g_post, drive) of the first
-        memristor.
+        each synapse's ``_Drive`` and (g0, saturating, g_post, drive) of the
+        first memristor.
         """
         draws = iter(zip(g_eq0, saturating))
-        currents, drives = [], []  # per synapse
-        standing = 0.0
+        drives = []  # per synapse
         first = None
         for idx, syn in enumerate(network.synapses):
             times = train.pulse_times(starts[idx])
-            if isinstance(syn, RCSynapse):
-                # One (steps, 1) column shared by all trials.
-                column = _rc_currents(syn, times, train, grid, dt)[:, None]
-                currents.append(lambda a, b, column=column: column[a:b])
-                drives.append(None)
-                standing += syn.g * syn.read_v
-                continue
             if isinstance(syn, MemristiveSynapse):
                 g_init, sat_init = next(draws)
                 drive, g_post = _memristor_currents(
                     syn, g_init, sat_init, starts[idx], train, grid, dt,
                     network.include_write_charge, network.g_post_delay)
-                standing += g_init * syn.read_v
                 if first is None:
                     first = (g_init, sat_init, g_post, drive)
+            elif isinstance(syn, RCSynapse):
+                drive = _rc_drive(syn, times, train, dt, n)
             else:
                 drive = _pulse_drive(syn, times, train, dt, n)
-            currents.append(drive.current)
             drives.append(drive)
-        return (lambda a, b: sum(f(a, b) for f in currents), drives, standing,
+        return (lambda a, b: sum(d.current(a, b) for d in drives), drives,
                 first)
 
-    current, drives, standing, first = synapses(g_eq0, saturating)
+    current, drives, first = synapses(g_eq0, saturating)
+    # Before its first pulse a synapse passes scale*g of its first segment.
+    standing = sum(d.scale * d.segments[0].g for d in drives if d.segments)
     g0, sat, g_post, mem = first or (np.zeros(rows), None, None, None)
     g_trace = mem.conductance(0, n).T if record_traces and mem else None
     v0 = np.broadcast_to(network.neuron.e_l + standing / network.neuron.g_l,

@@ -19,8 +19,8 @@ the step loop's spike steps by certificate: a membrane with a compared value
 within ``_EPS`` of v_peak, or whose closed form rounds too much (a decay
 rate rho too near the membrane's alpha), is run again by the step loop.
 The step loop stays for the exponential IF, traces, one membrane, and
-currents that are not such pieces (two decay rates in one piece, RC), and
-is the event path's oracle. Both paths take the Euler coefficients from
+currents that are not such pieces (two decay rates in one piece), and is
+the event path's oracle. Both paths take the Euler coefficients from
 ``_euler`` and return their spikes through ``_spike_csr``.
 """
 

@@ -41,6 +41,15 @@ def test_parse_rejects_unknown_preset():
         parse_config('{"preset": "fig9"}')
 
 
+def test_run_config_refuses_unknown_preset_before_writing(tmp_path):
+    # A RunConfig built in code skips parse_config; run_config itself must
+    # refuse the name, not run some other preset under it.
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown preset 'fig9'"):
+        cli.run_config(cli.RunConfig(preset="fig9", out_dir=str(out)))
+    assert not out.exists()
+
+
 def test_parse_rejects_bad_types():
     with pytest.raises(ConfigError, match="seed"):
         parse_config('{"preset": "fig2_stp", "seed": "forty-two"}')

@@ -50,12 +50,44 @@ def near_valid_configs(draw):
     return doc
 
 
+@st.composite
+def tied_configs(draw):
+    """A preset with overrides that make cross-field rules tight: ties that
+    a rule refuses (g_min == g_max, t_int == w, g_post_delay == t_rec) and
+    ties that it allows (g_eq0 == g_min, g_floor == g_max, tau_d_min ==
+    tau_d_max, t_rec one float above the train's duration)."""
+    preset = draw(st.sampled_from(cli.PRESET_NAMES))
+    g = draw(st.sampled_from([2.0e-6, 2.5e-6, 3.0e-6, 3.5e-6, 4.0e-6]))
+    tau = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    w = draw(st.sampled_from([1e-5, 0.01, 0.2]))
+    t = draw(st.sampled_from([0.5, 1.0, 10.0]))
+    ties = [("device", {"g_min": g, "g_max": g, "g_eq0": g, "g_floor": g}),
+            ("device", {"g_eq0": g, "g_min": g}),
+            ("device", {"g_floor": g, "g_max": g}),
+            ("device", {"tau_d_min": tau, "tau_d_max": tau}),
+            ("train", {"t_int": w, "w": w}),
+            ("plan", {"g_post_delay": t, "t_rec": t})]
+    if preset in cli._PROTOCOL_PLANS:
+        duration = cli._PROTOCOL_PLANS[preset].train.duration
+        ties.append(("plan", {"t_rec": math.nextafter(duration, math.inf)}))
+    read = [tie for tie in ties if tie[0] in cli._PRESET_SECTIONS[preset]]
+    overrides = {}
+    for section, fields in draw(st.lists(st.sampled_from(read), min_size=1,
+                                         max_size=2, unique_by=repr)):
+        overrides[section] = {**overrides.get(section, {}), **fields}
+    return {"preset": preset, "overrides": overrides,
+            "trials": draw(st.sampled_from([1, 2, 3]))}
+
+
 def _exit_code(doc) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))  # NaN/Infinity written as literals
-        return cli.main(["simulate", "--config", str(config),
+        code = cli.main(["simulate", "--config", str(config),
                          "--out", str(Path(tmp) / "out")])
+        for csv in Path(tmp).glob("out/*.csv"):
+            assert "nan" not in csv.read_text().lower(), csv.name
+        return code
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,4 +100,11 @@ def test_simulate_exits_cleanly_on_random_json(doc):
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=near_valid_configs())
 def test_simulate_exits_cleanly_on_near_valid_configs(doc):
+    assert _exit_code(doc) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=tied_configs())
+def test_simulate_exits_cleanly_on_tied_cross_field_pairs(doc):
     assert _exit_code(doc) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)

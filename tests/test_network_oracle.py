@@ -166,7 +166,13 @@ def reference_run_trial(
         elif isinstance(syn, StaticSynapse):
             total += reference_pulses(syn, times, train, grid, dt)
         else:
-            total += net._rc_currents(syn, times, train, grid, dt)
+            # The RC control's explicit low-pass step y' = (x - y)/tau.
+            x = reference_pulses(syn, times, train, grid, dt)
+            a = dt / syn.tau
+            y = 0.0
+            for k in range(n):
+                y = a * x[k] + (1.0 - a) * y
+                total[k] += y + syn.g * syn.read_v
 
     standing = sum(standing_g0) + sum(
         s.g * s.read_v for s in network.synapses if isinstance(s, RCSynapse))
@@ -250,6 +256,20 @@ def with_device(network: net.Network, **device_fields) -> net.Network:
         for s in network.synapses))
 
 
+def rc_beside_memristor(tau: float = 0.5) -> net.Network:
+    """The RC control, with time constant ``tau``, beside a jittered
+    memristor that never writes (4 V pulses under v_th) and the coincidence
+    neuron: many rows whose pieces hold only the RC's decay rate."""
+    control = build_detector("control_rc")
+    rc = control.synapses[1]
+    return replace(
+        control, g0_jitter=0.2e-6,
+        synapses=(replace(rc, capacitance=tau / rc.resistance),
+                  with_device(build_detector("sequence_detector"),
+                              v_th=5.0).synapses[1]),
+        neuron=build_detector("coincidence_detector").neuron)
+
+
 CASES = {
     "sequence": lambda: build_detector("sequence_detector"),
     "control": lambda: build_detector("control_rc"),
@@ -281,6 +301,10 @@ CASES = {
         "sequence_detector", force_mode=Mode.SATURATING, g0_jitter=0.0),
     "unjittered_facilitating": lambda: build_detector(
         "sequence_detector", force_mode=Mode.FACILITATING, g0_jitter=0.0),
+    "rc_memristor": lambda: rc_beside_memristor(),
+    # An RC step dt/tau = 1.25: its current alternates in sign, which the
+    # event path's closed form cannot take, so the step loop runs it.
+    "rc_fast_memristor": lambda: rc_beside_memristor(tau=0.8e-3),
 }
 
 
@@ -413,7 +437,8 @@ def test_rows_failing_the_certificate_run_on_their_own_current(order,
 
 
 @pytest.mark.parametrize("order", [PatternOrder.AB, PatternOrder.BA])
-@pytest.mark.parametrize("case", ["sequence", "coincidence_overlap"])
+@pytest.mark.parametrize("case", ["sequence", "coincidence_overlap",
+                                  "rc_memristor"])
 def test_pieces_rebuild_the_step_loop_current(case, order, monkeypatch):
     # The event path's pieces against current(0, n) of the same batch, the
     # step loop's current of every row: a smooth piece's a + b*rho**j to
@@ -523,7 +548,7 @@ def reference_rc_lowpass(syn: RCSynapse, pulse_times, train, grid, dt):
 
 
 @pytest.mark.parametrize("tau_scale", [0.05, 1.0, 20.0])
-def test_rc_lfilter_matches_explicit_step_loop(tau_scale):
+def test_rc_drive_matches_explicit_step_loop(tau_scale):
     dt = 1e-3
     # read_v = 0 leaves only the filtered pulses, so rtol bites on them.
     syn = RCSynapse(resistance=1.0 / 3.0e-6,
@@ -531,7 +556,8 @@ def test_rc_lfilter_matches_explicit_step_loop(tau_scale):
     train = PulseTrain(n=4, v=-4.0, w=10e-6, t_int=0.2)
     grid = dt * np.arange(1900)
     times = list(train.pulse_times(0.1)) + [0.1]  # two pulses in one step
-    got = net._rc_currents(syn, times, train, grid, dt)
+    got = net._rc_drive(syn, times, train, dt, grid.size).current(
+        0, grid.size)[:, 0]
     want = reference_rc_lowpass(syn, times, train, grid, dt)
     assert np.all(want[200:] > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
