@@ -1,9 +1,11 @@
 """Command-line front end: strict JSON run configs, figure-style experiment
 presets, seeded execution, and plot-ready CSV output with a reproducibility
-manifest. One writer creates every file, and its directory, only when it
-writes it; a failed write exits 3 naming the file. A detector preset formats
-the line tail of each distinct trial once, and ``main`` builds its parser
-once per process."""
+manifest. One table, ``_PRESETS``, declares every preset: the override
+sections it reads and its runner, with the preset's inputs bound. One
+writer creates every file, and its directory, only when it writes it; a
+failed write exits 3 naming the file. A detector preset formats the line
+tail of each distinct trial once, and ``main`` builds its parser once per
+process."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,20 +31,6 @@ from .network import PatternOrder, PatternSpec
 from .protocols import ExperimentPlan, PulseTrain
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_csv", "main"]
-
-# Each preset and the override sections it reads; any other section would be
-# silently ignored, so it is refused.
-_PRESET_SECTIONS = {
-    "fig2_stp": {"device", "train", "plan"},
-    "fig2f_drift": {"device", "train", "plan"},
-    "fig3a_decay": {"device"},
-    "fig3b_amplitude": {"device"},
-    "fig4_sequence": {"network", "train", "pattern"},
-    "fig4_control": {"network", "train", "pattern"},
-    "s12_coincidence": {"network", "train", "pattern"},
-    "iv_sweep": {"device"},
-}
-PRESET_NAMES = tuple(_PRESET_SECTIONS)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,17 +63,6 @@ _OVERRIDE_SECTIONS = {
 # section, and detector presets run both pattern orders.
 _FIXED_FIELDS = {"network": {"topology", "synapses", "neuron"},
                  "plan": {"train"}, "pattern": {"train", "order"}}
-
-
-class _NonFiniteLiteral:
-    """A NaN or Infinity literal in a config document, which no field
-    accepts; kept as a marker so the type checks can name its field."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    def __repr__(self) -> str:
-        return self.text
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -131,12 +108,13 @@ def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration document, strictly.
 
     Unknown keys anywhere are rejected with the offending key named; so are
-    override sections the preset does not read. Override values are checked
-    against their field's annotation (bool, int, or finite float), and NaN
-    or Infinity literals are refused wherever they appear.
+    override sections that the preset's entry in the preset table does not
+    list. Override values are checked against their field's annotation
+    (bool, int, or finite float). A NaN or Infinity literal parses as a
+    float, so the same checks refuse it wherever it appears.
     """
     try:
-        doc = json.loads(text, parse_constant=_NonFiniteLiteral)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     _expect(isinstance(doc, dict), "top level must be a JSON object")
@@ -161,13 +139,14 @@ def parse_config(text: str) -> RunConfig:
 
     overrides = doc.get("overrides", {})
     _expect(isinstance(overrides, dict), "field 'overrides' must be an object")
+    reads = _PRESETS[preset].sections
     for section, patch in overrides.items():
         _expect(section in _OVERRIDE_SECTIONS,
                 f"unknown override section {section!r} "
                 f"(allowed: {sorted(_OVERRIDE_SECTIONS)})")
-        _expect(section in _PRESET_SECTIONS[preset],
+        _expect(section in reads,
                 f"override section {section!r} is not read by preset "
-                f"{preset!r} (it reads: {sorted(_PRESET_SECTIONS[preset])})")
+                f"{preset!r} (it reads: {sorted(reads)})")
         _expect(isinstance(patch, dict),
                 f"override section {section!r} must be an object")
         cls = _OVERRIDE_SECTIONS[section]
@@ -264,16 +243,8 @@ def _device_params(config: RunConfig, **preset_fields) -> DeviceParams:
     return _patched(base, "device", config.overrides)
 
 
-_PROTOCOL_PLANS = {
-    "fig2_stp": ExperimentPlan(PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4),
-                               repeats=600, t_rec=10.0),
-    "fig2f_drift": ExperimentPlan(PulseTrain(n=3, v=4.0, w=10e-6, t_int=0.2),
-                                  repeats=20, t_rec=20.0),
-}
-
-
-def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
-    plan = _PROTOCOL_PLANS[config.preset]
+def _run_protocol_preset(config: RunConfig, out: Path, patterns,
+                         plan: ExperimentPlan) -> dict:
     train = _patched(plan.train, "train", config.overrides)
     plan = _patched(dataclasses.replace(plan, train=train), "plan", config.overrides)
     params = _device_params(config)
@@ -299,7 +270,7 @@ def _run_protocol_preset(config: RunConfig, out: Path) -> dict:
     return {"device": _jsonable(params), "plan": _jsonable(plan)}
 
 
-def _run_decay_preset(config: RunConfig, out: Path) -> dict:
+def _run_decay_preset(config: RunConfig, out: Path, patterns) -> dict:
     params = _device_params(config)
     t_ints = [0.02, 0.05, 0.1, 0.15, 0.2]
     rng = np.random.default_rng(config.seed)
@@ -315,7 +286,7 @@ def _run_decay_preset(config: RunConfig, out: Path) -> dict:
     return {"device": _jsonable(params), "t_ints": t_ints}
 
 
-def _run_amplitude_preset(config: RunConfig, out: Path) -> dict:
+def _run_amplitude_preset(config: RunConfig, out: Path, patterns) -> dict:
     params = _device_params(config)
     amplitudes = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     pairs = protocols.amplitude_sweep(params, amplitudes)
@@ -323,13 +294,6 @@ def _run_amplitude_preset(config: RunConfig, out: Path) -> dict:
     print(f"{config.preset}: {len(pairs)} amplitudes -> "
           f"{out / 'amplitude_response.csv'}")
     return {"device": _jsonable(params), "amplitudes": amplitudes}
-
-
-_TOPOLOGY_BY_PRESET = {
-    "fig4_sequence": "sequence_detector",
-    "fig4_control": "control_rc",
-    "s12_coincidence": "coincidence_detector",
-}
 
 
 def _trial_rows(batch: network.TrialBatch, pattern: str) -> Iterable[tuple]:
@@ -351,8 +315,7 @@ def _trial_rows(batch: network.TrialBatch, pattern: str) -> Iterable[tuple]:
 
 
 def _run_detector_preset(config: RunConfig, out: Path,
-                         patterns: Sequence[PatternOrder]) -> dict:
-    topology = _TOPOLOGY_BY_PRESET[config.preset]
+                         patterns: Sequence[PatternOrder], topology: str) -> dict:
     # force_mode arrives as a JSON string; parse it into a Mode on a copy, so
     # config.overrides keeps the raw value for the manifest.
     overrides = config.overrides
@@ -383,7 +346,7 @@ def _run_detector_preset(config: RunConfig, out: Path,
             "p_spike": summary}
 
 
-def _run_iv_preset(config: RunConfig, out: Path) -> dict:
+def _run_iv_preset(config: RunConfig, out: Path, patterns) -> dict:
     params = _device_params(config, e0=math.inf)
     n_seg = 500
     up = np.linspace(0.0, 2.0, n_seg, endpoint=False)
@@ -400,23 +363,49 @@ def _run_iv_preset(config: RunConfig, out: Path) -> dict:
     return {"device": _jsonable(params), "dt": dt, "v_peak": 2.0}
 
 
+class _Preset(NamedTuple):
+    """A preset: the override sections its runner reads (any other section
+    would be silently ignored, so ``parse_config`` refuses it), and the
+    runner, called as ``run(config, out, patterns)`` with the preset's own
+    inputs, a plan or a topology, bound. Only a detector reads
+    ``patterns``, the pattern orders to run."""
+
+    sections: frozenset[str]
+    run: Callable[..., dict]
+
+
+_DEVICE = frozenset({"device"})
+_PROTOCOL = frozenset({"device", "train", "plan"})
+_DETECTOR = frozenset({"network", "train", "pattern"})
+_PRESETS = {
+    "fig2_stp": _Preset(_PROTOCOL, functools.partial(
+        _run_protocol_preset, plan=ExperimentPlan(
+            PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4), repeats=600,
+            t_rec=10.0))),
+    "fig2f_drift": _Preset(_PROTOCOL, functools.partial(
+        _run_protocol_preset, plan=ExperimentPlan(
+            PulseTrain(n=3, v=4.0, w=10e-6, t_int=0.2), repeats=20,
+            t_rec=20.0))),
+    "fig3a_decay": _Preset(_DEVICE, _run_decay_preset),
+    "fig3b_amplitude": _Preset(_DEVICE, _run_amplitude_preset),
+    "fig4_sequence": _Preset(_DETECTOR, functools.partial(
+        _run_detector_preset, topology="sequence_detector")),
+    "fig4_control": _Preset(_DETECTOR, functools.partial(
+        _run_detector_preset, topology="control_rc")),
+    "s12_coincidence": _Preset(_DETECTOR, functools.partial(
+        _run_detector_preset, topology="coincidence_detector")),
+    "iv_sweep": _Preset(_DEVICE, _run_iv_preset),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def run_config(config: RunConfig,
                patterns: Sequence[PatternOrder] = tuple(PatternOrder)) -> int:
     """Run ``config``'s preset (a detector preset runs the given pattern
     orders), then write its manifest. An unknown preset writes nothing."""
     _check_preset(config.preset)
     out = Path(config.out_dir)
-    if config.preset in _PROTOCOL_PLANS:
-        resolved = _run_protocol_preset(config, out)
-    elif config.preset == "fig3a_decay":
-        resolved = _run_decay_preset(config, out)
-    elif config.preset == "fig3b_amplitude":
-        resolved = _run_amplitude_preset(config, out)
-    elif config.preset in _TOPOLOGY_BY_PRESET:
-        resolved = _run_detector_preset(config, out, patterns)
-    elif config.preset == "iv_sweep":
-        resolved = _run_iv_preset(config, out)
-    write_manifest(out, config, resolved)
+    write_manifest(out, config, _PRESETS[config.preset].run(config, out, patterns))
     return EXIT_OK
 
 

@@ -79,8 +79,9 @@ class EventLabel(Enum):
 class DeviceParams:
     """Device constants. Conductances in siemens, times in seconds.
 
-    No field may be NaN, only e0 and tau_acc may be infinite, and g_eq0 and
-    g_floor must lie in [g_min, g_max]; other domains are declared below.
+    No field may be NaN, only e0 and tau_acc may be infinite, g_eq0 and
+    g_floor must lie in [g_min, g_max], and g_c and sigma_s must keep the
+    logit of p_S finite; other domains are declared below.
 
     Attributes:
         g_min, g_max: hard conductance bounds.
@@ -97,7 +98,8 @@ class DeviceParams:
         g_floor: conductance the Saturating decrement walks down toward; an
             equilibrium at or below it is left alone.
         g_c, sigma_s: midpoint and width of the logistic Saturating-mode
-            probability p_S(g0).
+            probability p_S(g0); (G - g_c)/sigma_s must be finite for every
+            G in [g_min, g_max].
         e0, beta: barrier law E_i = e0 * (1 + beta*(g_eq-g_min)/(g_max-g_min)),
             e0 > 0 (inf = no non-volatile step), beta >= 0.
         tau_acc: leak time constant of the energy accumulator (inf = no leak).
@@ -143,6 +145,11 @@ class DeviceParams:
                 raise ValueError(f"{name} must lie in [g_min, g_max]")
         if self.tau_d_min > self.tau_d_max:
             raise ValueError("tau_d_min must not exceed tau_d_max")
+        # G lies in [g_min, g_max], so this bounds p_saturating's logit.
+        spread = max(abs(self.g_min - self.g_c), abs(self.g_max - self.g_c))
+        if not math.isfinite(spread / self.sigma_s):
+            raise ValueError("sigma_s must keep (G - g_c)/sigma_s finite for "
+                             "G in [g_min, g_max]")
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,8 @@ def conductance(state: DeviceState, t=None):
     """Total conductance G = g_eq + delta_g at ``state.t_last``, or at
     ``t >= t_last`` (a float or an array) g_eq + delta_g*exp(-(t - t_last)/tau_d).
 
-    A read is the closed-form relaxation: it never changes the state.
+    A read is the closed-form relaxation: it never changes the state. A
+    tau_d so short that (t - t_last)/tau_d overflows reads as fully relaxed.
     """
     if t is None:
         return state.g_eq + state.delta_g
@@ -211,7 +219,8 @@ def conductance(state: DeviceState, t=None):
         raise ValueError(
             f"time reversal: t={float(np.min(t))} is not at or after "
             f"t_last={state.t_last}")
-    return _read(_values(state), t)
+    with np.errstate(over="ignore"):
+        return _read(_values(state), t)
 
 
 def _relax(params: DeviceParams, t: float, t_last: float, u, x, delta_g,

@@ -156,7 +156,10 @@ def fit_decay(
                          message="non-decaying residual")
     tau_d = -1.0 / slope
     amplitude = math.exp(intercept)
-    sse = float(np.sum((resid[usable] - amplitude * np.exp(-t_u / tau_d)) ** 2))
+    # Residuals beyond sqrt of the largest float give an SSE of inf.
+    with np.errstate(over="ignore"):
+        sse = float(np.sum((resid[usable] - amplitude * np.exp(-t_u / tau_d))
+                           ** 2))
     return FitResult(params={"tau_d": float(tau_d), "amplitude": amplitude},
                      sse=sse, iterations=0, converged=True)
 

@@ -140,6 +140,12 @@ class Network:
             raise ValueError(f"synapses must hold exactly two synapses, got "
                              f"{len(self.synapses)}")
         nrn._check_dt(self.neuron, self.dt)
+        # The RC step y = a*x + (1 - a)*y, a = dt/tau, stops decaying at
+        # a = 2 and grows beyond it.
+        for syn in self.synapses:
+            if isinstance(syn, RCSynapse) and not self.dt < 2.0 * syn.tau:
+                raise ValueError(f"dt must be below 2*R*C of the RC synapse, "
+                                 f"got dt={self.dt:g} s and R*C={syn.tau:g} s")
 
 
 @dataclass(frozen=True)

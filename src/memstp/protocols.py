@@ -8,6 +8,7 @@ they carry no voltage, deposit no energy and never change the state."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -73,6 +74,10 @@ class ExperimentPlan:
             raise ValueError("t_rec must exceed the train duration")
         if not self.g_post_delay < self.t_rec:
             raise ValueError("g_post_delay must be shorter than t_rec")
+        # run_protocol's clock reaches about this time; an infinite clock
+        # would read inf - inf = NaN.
+        if not math.isfinite(self.repeats * (self.train.duration + self.t_rec)):
+            raise ValueError("repeats * (train duration + t_rec) must be finite")
 
 
 class EventRecord(NamedTuple):
@@ -140,9 +145,12 @@ def train_trace(
             f"{train.duration:g} s long and a {tail:g} s tail") from exc
     s = dev._values(state)
     states = [s] + _fold_train(s, params, train, t0)
-    # states[k] holds from pulse k-1 (inclusive) until pulse k.
+    # states[k] holds from pulse k-1 (inclusive) until pulse k. A tau_d so
+    # short that (t - t_last)/tau_d overflows reads as fully relaxed.
     pieces = np.split(times, np.searchsorted(times, train.pulse_times(t0)))
-    values = np.concatenate([dev._read(s, ts) for s, ts in zip(states, pieces)])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([dev._read(s, ts)
+                                 for s, ts in zip(states, pieces)])
     return DeviceState(*states[-1]), times, values
 
 

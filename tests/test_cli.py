@@ -233,7 +233,7 @@ def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-    monkeypatch.setattr(cli, "_run_detector_preset", exhausted)
+    monkeypatch.setattr(cli.network, "monte_carlo", exhausted)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"preset": "fig4_sequence", "trials": 2}))
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -702,6 +702,25 @@ def test_fit_csv_reports_iterations(tmp_path):
     assert int(rows[-1][1]) >= 1
 
 
+@pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+def test_each_preset_reads_exactly_the_sections_it_declares(tmp_path,
+                                                             monkeypatch,
+                                                             preset):
+    # A declared section that the runner never patches would be accepted and
+    # silently ignored; one it patches but does not declare is refused.
+    read = set()
+    patched = cli._patched
+
+    def spy(instance, section, overrides):
+        read.add(section)
+        return patched(instance, section, overrides)
+
+    monkeypatch.setattr(cli, "_patched", spy)
+    config = cli.RunConfig(preset=preset, trials=1, out_dir=str(tmp_path))
+    assert cli.run_config(config) == cli.EXIT_OK
+    assert read == cli._PRESETS[preset].sections
+
+
 @pytest.mark.parametrize("preset,overrides,named", [
     ("fig3b_amplitude", {"network": {"force_mode": "bogus", "dt": 0}},
      "'network'"),
@@ -738,6 +757,7 @@ def test_override_not_read_by_preset_rejected(tmp_path, capsys, preset,
     ('{"device": {"g_c": "3e-6"}}', "device.g_c"),
     ('{"device": {"polarity_sensitive": "no"}}', "device.polarity_sensitive"),
     ('{"device": {"polarity_sensitive": 0}}', "device.polarity_sensitive"),
+    ('{"device": {"polarity_sensitive": NaN}}', "device.polarity_sensitive"),
 ])
 def test_override_of_wrong_type_or_non_finite_rejected(tmp_path, capsys, text,
                                                         named):
@@ -749,10 +769,35 @@ def test_override_of_wrong_type_or_non_finite_rejected(tmp_path, capsys, text,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field", ["seed", "trials"])
+@pytest.mark.parametrize("patch,message", [
+    ('{"device": {"g_c": NaN}}', "device.g_c must be a finite number, got nan"),
+    ('{"device": {"g_c": Infinity}}', "device.g_c must be a finite number, got inf"),
+    ('{"device": {"g_c": -Infinity}}',
+     "device.g_c must be a finite number, got -inf"),
+    ('{"plan": {"repeats": NaN}}', "plan.repeats must be an integer, got nan"),
+])
+def test_non_finite_override_refusal_spells_the_float(patch, message):
+    # A NaN or Infinity literal parses as a float, so a refusal prints it
+    # as Python spells it.
+    with pytest.raises(ConfigError, match=f"^override {re.escape(message)}$"):
+        parse_config('{"preset": "fig2_stp", "overrides": %s}' % patch)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_string_override_rejected(literal):
+    with pytest.raises(ConfigError, match="network.force_mode must be a string"):
+        parse_config('{"preset": "fig4_sequence", "overrides": '
+                     '{"network": {"force_mode": %s}}}' % literal)
+
+
+@pytest.mark.parametrize("field", ["seed", "trials", "threads", "out_dir",
+                                   "preset", "overrides"])
 def test_non_finite_top_level_field_rejected(field):
-    with pytest.raises(ConfigError, match=field):
-        parse_config('{"preset": "fig2_stp", "%s": NaN}' % field)
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        doc = {"preset": '"fig2_stp"', field: literal}
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            parse_config(text)
 
 
 # ---------------------------------------------------------------------------

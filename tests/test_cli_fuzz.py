@@ -7,8 +7,11 @@ import dataclasses
 import json
 import math
 import tempfile
+import typing
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,15 @@ EDGE_VALUES = [0, 0.0, -1, -2.5, 1e-300, -1e-300, 1e300, -1e300, math.nan,
 FIELDS = {name: [f.name for f in dataclasses.fields(cls)]
           for name, cls in cli._OVERRIDE_SECTIONS.items()}
 
+# Every float override field a preset reads, as (preset, section, field).
+FLOAT_OVERRIDES = [
+    (preset, section, name)
+    for preset, entry in cli._PRESETS.items()
+    for section in sorted(entry.sections)
+    for name, hint in typing.get_type_hints(
+        cli._OVERRIDE_SECTIONS[section]).items()
+    if hint is float and name not in cli._FIXED_FIELDS.get(section, ())]
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4)
@@ -35,7 +47,7 @@ def near_valid_configs(draw):
     """A real preset with small trials and overrides of real and bogus
     sections and fields, set to edge values."""
     preset = draw(st.sampled_from(cli.PRESET_NAMES))
-    sections = sorted(cli._PRESET_SECTIONS[preset]) + ["device", "bogus"]
+    sections = sorted(cli._PRESETS[preset].sections) + ["device", "bogus"]
     overrides = {}
     for section in draw(st.lists(st.sampled_from(sections), max_size=2,
                                  unique=True)):
@@ -67,10 +79,11 @@ def tied_configs(draw):
             ("device", {"tau_d_min": tau, "tau_d_max": tau}),
             ("train", {"t_int": w, "w": w}),
             ("plan", {"g_post_delay": t, "t_rec": t})]
-    if preset in cli._PROTOCOL_PLANS:
-        duration = cli._PROTOCOL_PLANS[preset].train.duration
+    entry = cli._PRESETS[preset]
+    if "plan" in entry.sections:
+        duration = entry.run.keywords["plan"].train.duration
         ties.append(("plan", {"t_rec": math.nextafter(duration, math.inf)}))
-    read = [tie for tie in ties if tie[0] in cli._PRESET_SECTIONS[preset]]
+    read = [tie for tie in ties if tie[0] in entry.sections]
     overrides = {}
     for section, fields in draw(st.lists(st.sampled_from(read), min_size=1,
                                          max_size=2, unique_by=repr)):
@@ -108,3 +121,15 @@ def test_simulate_exits_cleanly_on_near_valid_configs(doc):
 @given(doc=tied_configs())
 def test_simulate_exits_cleanly_on_tied_cross_field_pairs(doc):
     assert _exit_code(doc) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+
+
+@pytest.mark.parametrize("value", [5e-324, 1.797e308, -1.797e308])
+@pytest.mark.parametrize("preset,section,name", FLOAT_OVERRIDES)
+def test_simulate_exits_cleanly_on_edge_floats(preset, section, name, value):
+    # The smallest positive float and both ends of the float range, one
+    # field at a time: the draws above never reach them.
+    doc = {"preset": preset, "trials": 1, "overrides": {section: {name: value}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _exit_code(doc) in (cli.EXIT_OK, cli.EXIT_CONFIG,
+                                   cli.EXIT_RUNTIME)

@@ -101,6 +101,17 @@ def test_device_params_refuse_g_max_not_above_g_min(g_max):
         DeviceParams(g_min=3e-6, g_max=g_max, g_eq0=g_max, g_floor=g_max)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma_s", 5e-324), ("g_c", 1.797e308), ("g_c", -1.797e308),
+    ("g_max", 1.797e308),
+])
+def test_device_params_refuse_an_overflowing_saturation_logit(field, value):
+    # p_saturating divides g0 - g_c by sigma_s, for g0 in [g_min, g_max]; a
+    # quotient beyond the largest float used to overflow on every read.
+    with pytest.raises(ValueError, match=r"^sigma_s must keep \(G - g_c\)"):
+        DeviceParams(**{field: value})
+
+
 @pytest.mark.parametrize("make, field, value", [
     (DeviceParams, "c_amp", 0.0), (DeviceParams, "gamma", 0.0),
     (DeviceParams, "beta", 0.0), (DeviceParams, "u_dev", 1.0),
@@ -253,6 +264,14 @@ def test_conductance_read_is_closed_form_relaxation(params):
         decayed = dev.conductance(dev.decay_to(s, params, float(t)))
         assert g == pytest.approx(decayed, rel=1e-15)
         assert dev.conductance(s, float(t)) == g
+
+
+def test_conductance_read_with_the_shortest_tau_d_is_fully_relaxed(params):
+    # (t - t_last)/tau_d overflows to inf at tau_d = 5e-324; exp(-inf) = 0.
+    s = dataclasses.replace(dev.initial_state(params), delta_g=1e-7,
+                            tau_d=5e-324)
+    reads = dev.conductance(s, np.array([0.0, 0.5, 1.0]))
+    assert reads.tolist() == [s.g_eq + 1e-7, s.g_eq, s.g_eq]
 
 
 @pytest.mark.parametrize("t", [-1e-9, np.array([0.1, -1e-9]), math.nan,

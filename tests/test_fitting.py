@@ -30,6 +30,14 @@ def test_fit_decay_any_time_scale(tau):
     assert res.params["tau_d"] == pytest.approx(tau, rel=1e-6)
 
 
+def test_fit_decay_sse_beyond_the_float_range_is_inf():
+    # Residuals near 1e300 square beyond the largest float.
+    t = np.linspace(0.0, 1.0, 50)
+    g = 1e300 * np.exp(-t / 0.2) + 1e299 * np.sin(40.0 * t) ** 2
+    res = fitting.fit_decay(t, g, 0.0)
+    assert res.converged and res.sse == np.inf
+
+
 def test_fit_decay_constant_trace_fails():
     t = np.arange(0, 0.5, 1e-3)
     res = fitting.fit_decay(t, np.full(t.size, 2.9e-6), 2.9e-6)

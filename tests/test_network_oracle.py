@@ -270,6 +270,14 @@ def rc_beside_memristor(tau: float = 0.5) -> net.Network:
         neuron=build_detector("coincidence_detector").neuron)
 
 
+@pytest.mark.parametrize("tau", [0.5e-3, 0.3e-3, 0.15e-3])
+def test_network_refuses_an_rc_step_that_does_not_decay(tau):
+    # At dt = 1 ms, a = dt/tau >= 2 in the RC step y = a*x + (1 - a)*y: at
+    # tau = 0.3 ms monte_carlo overflowed instead.
+    with pytest.raises(ValueError, match=r"^dt must be below 2\*R\*C"):
+        rc_beside_memristor(tau)
+
+
 CASES = {
     "sequence": lambda: build_detector("sequence_detector"),
     "control": lambda: build_detector("control_rc"),

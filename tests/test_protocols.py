@@ -42,6 +42,23 @@ def test_plan_validation():
         make_plan(t_rec=0.5)  # shorter than the train
 
 
+@pytest.mark.parametrize("kw", [dict(t_rec=1.797e308), dict(t_rec=1e306, repeats=600)])
+def test_plan_refuses_an_infinite_protocol_clock(kw):
+    # The clock reached inf on the third train, and the next pulse's
+    # inf - inf = NaN filled the rest of the events.
+    with pytest.raises(ValueError, match=r"^repeats \* \(train duration"):
+        make_plan(**kw)
+
+
+def test_train_trace_with_the_shortest_tau_d_is_fully_relaxed():
+    # The first pulse sets tau_d = tau_d_min, so every sample before the
+    # second pulse divides by 5e-324.
+    params = DeviceParams(tau_d_min=5e-324)
+    _, times, values = pr.train_trace(
+        dev.initial_state(params), params, pr.PulseTrain(), 0.0, 1e-3)
+    assert np.isfinite(values).all() and times.size == values.size
+
+
 # ---------------------------------------------------------------------------
 # run_protocol
 # ---------------------------------------------------------------------------
