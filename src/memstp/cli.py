@@ -1,11 +1,9 @@
 """Command-line front end: strict JSON run configs, figure-style experiment
 presets, seeded execution, and plot-ready CSV output with a reproducibility
-manifest. One table, ``_PRESETS``, declares every preset: the override
-sections it reads and its runner, with the preset's inputs bound. One
-writer creates every file, and its directory, only when it writes it; a
-failed write exits 3 naming the file. A detector preset formats the line
-tail of each distinct trial once, and ``main`` builds its parser once per
-process."""
+manifest. One table, ``_PRESETS``, declares each preset's runner and the
+default of every override section it reads; ``run_config`` patches them
+and records what ran. One writer creates every file, and its directory,
+only when it writes it; a failed write exits 3 naming the file."""
 
 from __future__ import annotations
 
@@ -60,9 +58,12 @@ _OVERRIDE_SECTIONS = {
 }
 # Fields a preset fixes: the topology is chosen by the preset name, and the
 # synapse and neuron objects are built with it; trains come from the train
-# section, and detector presets run both pattern orders.
+# section, and detector presets run the orders they are given.
 _FIXED_FIELDS = {"network": {"topology", "synapses", "neuron"},
                  "plan": {"train"}, "pattern": {"train", "order"}}
+_OVERRIDABLE = {section: [f.name for f in dataclasses.fields(cls)
+                           if f.name not in _FIXED_FIELDS.get(section, ())]
+                for section, cls in _OVERRIDE_SECTIONS.items()}
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -87,19 +88,19 @@ def _check_count(value: Any, name: str) -> None:
 
 
 def _check_override(name: str, value: Any, hint: Any) -> None:
-    """Check one override value against its field's annotation."""
+    """Check one override value against its field's annotation. Numbers,
+    integers too, must lie in the float range, as the models use floats."""
     if hint is bool:
         _expect(isinstance(value, bool), f"override {name} must be true or false")
     elif hint is int:
         _expect(isinstance(value, int) and not isinstance(value, bool),
                 f"override {name} must be an integer, got {value!r}")
+        _expect(abs(value) <= sys.float_info.max,
+                f"override {name} must be an integer within the float range")
     elif hint is float:
-        try:
-            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        _expect(ok, f"override {name} must be a finite number, got {value!r}")
+        _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max,
+                f"override {name} must be a finite number, got {value!r}")
     else:
         _expect(isinstance(value, str), f"override {name} must be a string")
 
@@ -149,10 +150,8 @@ def parse_config(text: str) -> RunConfig:
                 f"{preset!r} (it reads: {sorted(reads)})")
         _expect(isinstance(patch, dict),
                 f"override section {section!r} must be an object")
-        cls = _OVERRIDE_SECTIONS[section]
-        allowed = ({f.name for f in dataclasses.fields(cls)}
-                   - _FIXED_FIELDS.get(section, set()))
-        hints = typing.get_type_hints(cls)
+        allowed = _OVERRIDABLE[section]
+        hints = typing.get_type_hints(_OVERRIDE_SECTIONS[section])
         for key, value in patch.items():
             _expect(key in allowed,
                     f"unknown key '{section}.{key}' (allowed: {sorted(allowed)})")
@@ -161,10 +160,8 @@ def parse_config(text: str) -> RunConfig:
                      out_dir=out_dir, trials=trials)
 
 
-def _patched(instance, section: str, overrides: dict) -> Any:
-    patch = overrides.get(section, {})
-    if not patch:
-        return instance
+def _patched(instance, section: str, patch: dict) -> Any:
+    """``instance`` patched; a refused value is a ConfigError naming the section."""
     try:
         return dataclasses.replace(instance, **patch)
     except (TypeError, ValueError) as exc:
@@ -204,12 +201,7 @@ def emit_csv(path: Path | str, header: str, rows: Iterable[tuple],
 
 
 def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = dataclasses.asdict(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+    """A field's value as JSON: an enum by its value, an infinity as "inf"."""
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, float) and math.isinf(value):
@@ -238,16 +230,8 @@ def write_manifest(out_dir: Path, config: RunConfig, resolved: dict) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _device_params(config: RunConfig, **preset_fields) -> DeviceParams:
-    base = DeviceParams(**preset_fields)
-    return _patched(base, "device", config.overrides)
-
-
-def _run_protocol_preset(config: RunConfig, out: Path, patterns,
-                         plan: ExperimentPlan) -> dict:
-    train = _patched(plan.train, "train", config.overrides)
-    plan = _patched(dataclasses.replace(plan, train=train), "plan", config.overrides)
-    params = _device_params(config)
+def _run_protocol_preset(config: RunConfig, out: Path, patterns, inputs) -> dict:
+    params, plan = inputs["device"], inputs["plan"]
     # Plot-ready conductance transient of one train from rest, built before
     # any file is written, so a sample_dt too fine to allocate writes none.
     try:
@@ -267,11 +251,11 @@ def _run_protocol_preset(config: RunConfig, out: Path, patterns,
     n_f = sum(r.label is dev.EventLabel.STP_F for r in records)
     print(f"{config.preset}: {len(records)} events, "
           f"{n_f} STP-F / {len(records) - n_f} STP-S -> {out / 'events.csv'}")
-    return {"device": _jsonable(params), "plan": _jsonable(plan)}
+    return {}
 
 
-def _run_decay_preset(config: RunConfig, out: Path, patterns) -> dict:
-    params = _device_params(config)
+def _run_decay_preset(config: RunConfig, out: Path, patterns, inputs) -> dict:
+    params = inputs["device"]
     t_ints = [0.02, 0.05, 0.1, 0.15, 0.2]
     rng = np.random.default_rng(config.seed)
     results = protocols.decay_sweep(params, t_ints, rng)
@@ -283,17 +267,17 @@ def _run_decay_preset(config: RunConfig, out: Path, patterns) -> dict:
     emit_csv(out / "decay_vs_interval.csv", "x,y", pairs, "%.9g,%.9g")
     for t, tau_d in pairs:
         print(f"t_int={t * 1e3:.0f} ms -> tau_d={tau_d:.4g} s")
-    return {"device": _jsonable(params), "t_ints": t_ints}
+    return {"t_ints": t_ints}
 
 
-def _run_amplitude_preset(config: RunConfig, out: Path, patterns) -> dict:
-    params = _device_params(config)
+def _run_amplitude_preset(config: RunConfig, out: Path, patterns, inputs) -> dict:
+    params = inputs["device"]
     amplitudes = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     pairs = protocols.amplitude_sweep(params, amplitudes)
     emit_csv(out / "amplitude_response.csv", "x,y", pairs, "%.9g,%.9g")
     print(f"{config.preset}: {len(pairs)} amplitudes -> "
           f"{out / 'amplitude_response.csv'}")
-    return {"device": _jsonable(params), "amplitudes": amplitudes}
+    return {"amplitudes": amplitudes}
 
 
 def _trial_rows(batch: network.TrialBatch, pattern: str) -> Iterable[tuple]:
@@ -315,39 +299,25 @@ def _trial_rows(batch: network.TrialBatch, pattern: str) -> Iterable[tuple]:
 
 
 def _run_detector_preset(config: RunConfig, out: Path,
-                         patterns: Sequence[PatternOrder], topology: str) -> dict:
-    # force_mode arrives as a JSON string; parse it into a Mode on a copy, so
-    # config.overrides keeps the raw value for the manifest.
-    overrides = config.overrides
-    mode = overrides.get("network", {}).get("force_mode")
-    if mode is not None:
-        modes = [m.value for m in dev.Mode]
-        _expect(mode in modes, f"override network.force_mode must be one of {modes}")
-        overrides = {**overrides,
-                     "network": {**overrides["network"], "force_mode": dev.Mode(mode)}}
-    net = _patched(network.build_detector(topology), "network", overrides)
-    pattern = PatternSpec()
-    train = _patched(pattern.train, "train", config.overrides)
-    pattern = _patched(dataclasses.replace(pattern, train=train),
-                       "pattern", config.overrides)
+                         patterns: Sequence[PatternOrder], inputs) -> dict:
+    net, pattern = inputs["network"], inputs["pattern"]
     summary = {}
     for order in patterns:
-        spec = dataclasses.replace(pattern, order=order)
         p_spike, batch = network.monte_carlo(
-            net, spec, config.trials, config.seed)
+            net, dataclasses.replace(pattern, order=order), config.trials,
+            config.seed)
         emit_csv(out / f"trials_{order.value}.csv",
                  "index,pattern,spiked,label,g0_S,n_spikes",
                  _trial_rows(batch, order.value), "%d,%s")
         del batch  # frees this order's columns before the next order runs
         summary[order.value] = p_spike
-        print(f"{topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
+        print(f"{net.topology} {order.value.upper()}: p_spike = {p_spike:.4f} "
               f"({config.trials} trials)")
-    return {"topology": topology, "pattern": _jsonable(pattern),
-            "p_spike": summary}
+    return {"p_spike": summary}
 
 
-def _run_iv_preset(config: RunConfig, out: Path, patterns) -> dict:
-    params = _device_params(config, e0=math.inf)
+def _run_iv_preset(config: RunConfig, out: Path, patterns, inputs) -> dict:
+    params = inputs["device"]
     n_seg = 500
     up = np.linspace(0.0, 2.0, n_seg, endpoint=False)
     down = np.linspace(2.0, -2.0, 2 * n_seg, endpoint=False)
@@ -360,41 +330,49 @@ def _run_iv_preset(config: RunConfig, out: Path, patterns) -> dict:
              zip((dt * np.arange(v.size)).tolist(), v.tolist(), i.tolist()),
              "%.9g,%.9g,%.9g")
     print(f"iv_sweep: {v.size} samples -> {out / 'iv_trace.csv'}")
-    return {"device": _jsonable(params), "dt": dt, "v_peak": 2.0}
+    return {"dt": dt, "v_peak": 2.0}
 
 
 class _Preset(NamedTuple):
-    """A preset: the override sections its runner reads (any other section
-    would be silently ignored, so ``parse_config`` refuses it), and the
-    runner, called as ``run(config, out, patterns)`` with the preset's own
-    inputs, a plan or a topology, bound. Only a detector reads
-    ``patterns``, the pattern orders to run."""
+    """A preset: ``inputs``, the default of each override section it reads,
+    in build order (any other section would be silently ignored, so
+    ``parse_config`` refuses it), and ``run(config, out, patterns, inputs)``,
+    given the patched sections by name. Only a detector reads ``patterns``.
+    A runner returns, for the manifest, what only it knows."""
 
-    sections: frozenset[str]
+    inputs: dict[str, Any]
     run: Callable[..., dict]
 
+    @property
+    def sections(self) -> typing.KeysView[str]:
+        return self.inputs.keys()
 
-_DEVICE = frozenset({"device"})
-_PROTOCOL = frozenset({"device", "train", "plan"})
-_DETECTOR = frozenset({"network", "train", "pattern"})
+
+def _protocol(train: PulseTrain, **plan) -> dict[str, Any]:
+    return {"device": DeviceParams(), "train": train,
+            "plan": ExperimentPlan(train, **plan)}
+
+
+def _detector(topology: str) -> dict[str, Any]:
+    pattern = PatternSpec()
+    return {"network": network.build_detector(topology),
+            "train": pattern.train, "pattern": pattern}
+
+
 _PRESETS = {
-    "fig2_stp": _Preset(_PROTOCOL, functools.partial(
-        _run_protocol_preset, plan=ExperimentPlan(
-            PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4), repeats=600,
-            t_rec=10.0))),
-    "fig2f_drift": _Preset(_PROTOCOL, functools.partial(
-        _run_protocol_preset, plan=ExperimentPlan(
-            PulseTrain(n=3, v=4.0, w=10e-6, t_int=0.2), repeats=20,
-            t_rec=20.0))),
-    "fig3a_decay": _Preset(_DEVICE, _run_decay_preset),
-    "fig3b_amplitude": _Preset(_DEVICE, _run_amplitude_preset),
-    "fig4_sequence": _Preset(_DETECTOR, functools.partial(
-        _run_detector_preset, topology="sequence_detector")),
-    "fig4_control": _Preset(_DETECTOR, functools.partial(
-        _run_detector_preset, topology="control_rc")),
-    "s12_coincidence": _Preset(_DETECTOR, functools.partial(
-        _run_detector_preset, topology="coincidence_detector")),
-    "iv_sweep": _Preset(_DEVICE, _run_iv_preset),
+    "fig2_stp": _Preset(_protocol(
+        PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4), repeats=600, t_rec=10.0),
+        _run_protocol_preset),
+    "fig2f_drift": _Preset(_protocol(
+        PulseTrain(n=3, v=4.0, w=10e-6, t_int=0.2), repeats=20, t_rec=20.0),
+        _run_protocol_preset),
+    "fig3a_decay": _Preset({"device": DeviceParams()}, _run_decay_preset),
+    "fig3b_amplitude": _Preset({"device": DeviceParams()}, _run_amplitude_preset),
+    "fig4_sequence": _Preset(_detector("sequence_detector"), _run_detector_preset),
+    "fig4_control": _Preset(_detector("control_rc"), _run_detector_preset),
+    "s12_coincidence": _Preset(_detector("coincidence_detector"),
+                               _run_detector_preset),
+    "iv_sweep": _Preset({"device": DeviceParams(e0=math.inf)}, _run_iv_preset),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -402,10 +380,30 @@ PRESET_NAMES = tuple(_PRESETS)
 def run_config(config: RunConfig,
                patterns: Sequence[PatternOrder] = tuple(PatternOrder)) -> int:
     """Run ``config``'s preset (a detector preset runs the given pattern
-    orders), then write its manifest. An unknown preset writes nothing."""
+    orders), then write its manifest. Its ``resolved`` block holds every
+    overridable field of each patched section, so it replays as a config,
+    and what the runner returns. An unknown preset writes nothing."""
     _check_preset(config.preset)
+    entry = _PRESETS[config.preset]
+    inputs: dict[str, Any] = {}
+    for section, default in entry.inputs.items():
+        # A plan or a pattern takes the patched train, inside the same guard.
+        patch = {**config.overrides.get(section, {}),
+                 **{f.name: inputs[f.name] for f in dataclasses.fields(default)
+                    if f.name in inputs}}
+        mode = patch.get("force_mode")  # a Mode's value, as JSON spells it
+        if mode is not None:
+            modes = [m.value for m in dev.Mode]
+            _expect(mode in modes,
+                    f"override network.force_mode must be one of {modes}")
+            patch["force_mode"] = dev.Mode(mode)
+        inputs[section] = _patched(default, section, patch)
+    resolved = {section: {name: _jsonable(getattr(obj, name))
+                          for name in _OVERRIDABLE[section]}
+                for section, obj in inputs.items()}
     out = Path(config.out_dir)
-    write_manifest(out, config, _PRESETS[config.preset].run(config, out, patterns))
+    resolved.update(entry.run(config, out, patterns, inputs))
+    write_manifest(out, config, resolved)
     return EXIT_OK
 
 

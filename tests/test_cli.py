@@ -296,6 +296,64 @@ def test_fig3b_simulate_writes_manifest_and_csv(tmp_path):
     assert (out / "amplitude_response.csv").exists()
 
 
+# A non-default value for one field of each override section.
+_NON_DEFAULT = {"device": {"tau_f_dev": 0.6}, "train": {"t_int": 0.3},
+                "plan": {"repeats": 5}, "pattern": {"gap": 0.3},
+                "network": {"tail": 0.4}}
+
+
+def _resolved_of_run(out, preset, overrides):
+    cfg = out.with_suffix(".json")
+    cfg.write_text(json.dumps({"preset": preset, "seed": 3, "trials": 20,
+                               "overrides": overrides, "out_dir": str(out)}))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    return json.loads((out / "manifest.json").read_text())["resolved"]
+
+
+@pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+def test_manifest_resolved_replays_the_run(tmp_path, preset):
+    # A run configured by its manifest's resolved sections repeats it: the
+    # same CSVs and the same resolved. A value no config can write (an
+    # infinity, a None) comes from the preset, so it is left out.
+    sections = cli._PRESETS[preset].sections
+    first = _resolved_of_run(tmp_path / "first", preset,
+                             {s: _NON_DEFAULT[s] for s in sections})
+    for section in sections:
+        for name, value in _NON_DEFAULT[section].items():
+            assert first[section][name] == value
+    replay = {s: {k: v for k, v in first[s].items() if v not in (None, "inf")}
+              for s in sections}
+    assert _resolved_of_run(tmp_path / "replay", preset, replay) == first
+    csvs = sorted(path.name for path in (tmp_path / "first").glob("*.csv"))
+    assert csvs
+    for name in csvs:
+        assert ((tmp_path / "replay" / name).read_bytes()
+                == (tmp_path / "first" / name).read_bytes()), name
+
+
+def test_detector_manifest_records_only_the_orders_it_ran(tmp_path):
+    out = tmp_path / "out"
+    assert main(["detect", "--topology", "sequence", "--pattern", "ab",
+                 "--trials", "5", "--out", str(out)]) == 0
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert list(resolved["p_spike"]) == ["ab"]
+    assert "order" not in resolved["pattern"]
+
+
+@pytest.mark.parametrize("preset", ["fig2_stp", "fig2f_drift"])
+def test_train_override_that_breaks_the_plan_is_config_error(tmp_path, capsys,
+                                                             preset):
+    # An 11 s interval makes the train outlast the plan's recovery time.
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": preset, "out_dir": str(out),
+                               "overrides": {"train": {"t_int": 11.0}}}))
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'plan'" in err and "t_rec must exceed the train duration" in err
+    assert not out.exists()
+
+
 def test_detect_reproducible_and_thread_invariant(tmp_path):
     out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
     for out, threads in ((out1, "1"), (out2, "1"), (out3, "3")):

@@ -26,14 +26,20 @@ EDGE_VALUES = [0, 0.0, -1, -2.5, 1e-300, -1e-300, 1e300, -1e300, math.nan,
 FIELDS = {name: [f.name for f in dataclasses.fields(cls)]
           for name, cls in cli._OVERRIDE_SECTIONS.items()}
 
-# Every float override field a preset reads, as (preset, section, field).
-FLOAT_OVERRIDES = [
-    (preset, section, name)
-    for preset, entry in cli._PRESETS.items()
-    for section in sorted(entry.sections)
-    for name, hint in typing.get_type_hints(
-        cli._OVERRIDE_SECTIONS[section]).items()
-    if hint is float and name not in cli._FIXED_FIELDS.get(section, ())]
+
+def _overrides_of(kind):
+    """Every override field of type ``kind`` that a preset reads, as
+    (preset, section, field)."""
+    return [(preset, section, name)
+            for preset, entry in cli._PRESETS.items()
+            for section in sorted(entry.sections)
+            for name in cli._OVERRIDABLE[section]
+            if typing.get_type_hints(cli._OVERRIDE_SECTIONS[section])[name]
+            is kind]
+
+
+FLOAT_OVERRIDES = _overrides_of(float)
+INT_OVERRIDES = _overrides_of(int)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -81,7 +87,7 @@ def tied_configs(draw):
             ("plan", {"g_post_delay": t, "t_rec": t})]
     entry = cli._PRESETS[preset]
     if "plan" in entry.sections:
-        duration = entry.run.keywords["plan"].train.duration
+        duration = entry.inputs["plan"].train.duration
         ties.append(("plan", {"t_rec": math.nextafter(duration, math.inf)}))
     read = [tie for tie in ties if tie[0] in entry.sections]
     overrides = {}
@@ -133,3 +139,13 @@ def test_simulate_exits_cleanly_on_edge_floats(preset, section, name, value):
         warnings.simplefilter("error", RuntimeWarning)
         assert _exit_code(doc) in (cli.EXIT_OK, cli.EXIT_CONFIG,
                                    cli.EXIT_RUNTIME)
+
+
+@pytest.mark.parametrize("value", [int("9" * 400), -int("9" * 400), 2 ** 1024])
+@pytest.mark.parametrize("preset,section,name", INT_OVERRIDES)
+def test_simulate_refuses_ints_beyond_the_float_range(capsys, preset, section,
+                                                      name, value):
+    # The models compute with these counts as floats, which cannot hold them.
+    doc = {"preset": preset, "trials": 1, "overrides": {section: {name: value}}}
+    assert _exit_code(doc) == cli.EXIT_CONFIG
+    assert f"override {section}.{name} " in capsys.readouterr().err
