@@ -359,6 +359,8 @@ def _detector(topology: str) -> dict[str, Any]:
             "train": pattern.train, "pattern": pattern}
 
 
+# The detector topologies, in the order the network module declares them.
+_SEQUENCE, _CONTROL, _COINCIDENCE = network.TOPOLOGIES
 _PRESETS = {
     "fig2_stp": _Preset(_protocol(
         PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.4), repeats=600, t_rec=10.0),
@@ -368,10 +370,9 @@ _PRESETS = {
         _run_protocol_preset),
     "fig3a_decay": _Preset({"device": DeviceParams()}, _run_decay_preset),
     "fig3b_amplitude": _Preset({"device": DeviceParams()}, _run_amplitude_preset),
-    "fig4_sequence": _Preset(_detector("sequence_detector"), _run_detector_preset),
-    "fig4_control": _Preset(_detector("control_rc"), _run_detector_preset),
-    "s12_coincidence": _Preset(_detector("coincidence_detector"),
-                               _run_detector_preset),
+    "fig4_sequence": _Preset(_detector(_SEQUENCE), _run_detector_preset),
+    "fig4_control": _Preset(_detector(_CONTROL), _run_detector_preset),
+    "s12_coincidence": _Preset(_detector(_COINCIDENCE), _run_detector_preset),
     "iv_sweep": _Preset({"device": DeviceParams(e0=math.inf)}, _run_iv_preset),
 }
 PRESET_NAMES = tuple(_PRESETS)

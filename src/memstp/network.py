@@ -6,7 +6,9 @@ The memristive synapse injects G(t) * read_v continuously, so a facilitated
 conductance elevation acts as a decaying memory trace; static pulses arriving
 on top of that plateau push the membrane over threshold.
 
-The shipped "paper operating point" is a calibration: the hardware threshold,
+One table, ``_CIRCUITS``, declares each topology once: its synapses, its
+neuron's threshold, its g0 jitter and forced mode, and its trial timing, at
+the "paper operating point". That is a calibration: the hardware threshold,
 read bias, and resistor values are chosen so that the BA order spikes on
 facilitating trials, saturating trials miss (false negatives), and high
 initial-conductance facilitating trials fire on the AB order (false
@@ -45,7 +47,7 @@ __all__ = [
     "TrialBatch",
     "build_detector",
     "monte_carlo",
-    "OPERATING_POINT",
+    "TOPOLOGIES",
 ]
 
 
@@ -123,6 +125,12 @@ Synapse = Union[StaticSynapse, RCSynapse, MemristiveSynapse]
 
 @dataclass(frozen=True)
 class Network:
+    """A detector: a topology of ``TOPOLOGIES``, its synapses and neuron,
+    and its trials' time step and span. Only a memristive synapse reads
+    ``g0_jitter``, ``force_mode``, ``include_write_charge`` and
+    ``g_post_delay``, so a network without one refuses any value of them
+    but the default."""
+
     topology: str
     synapses: tuple[Synapse, ...]
     neuron: nrn.NeuronParams
@@ -136,6 +144,7 @@ class Network:
 
     def __post_init__(self) -> None:
         check(self)
+        _circuit(self.topology)
         if len(self.synapses) != 2:
             raise ValueError(f"synapses must hold exactly two synapses, got "
                              f"{len(self.synapses)}")
@@ -146,6 +155,13 @@ class Network:
             if isinstance(syn, RCSynapse) and not self.dt < 2.0 * syn.tau:
                 raise ValueError(f"dt must be below 2*R*C of the RC synapse, "
                                  f"got dt={self.dt:g} s and R*C={syn.tau:g} s")
+        if not any(isinstance(s, MemristiveSynapse) for s in self.synapses):
+            for name in ("g0_jitter", "force_mode", "include_write_charge",
+                         "g_post_delay"):
+                default = self.__dataclass_fields__[name].default
+                if getattr(self, name) != default:
+                    raise ValueError(f"{name} must keep its default {default!r}"
+                                     f": only a memristive synapse reads it")
 
 
 @dataclass(frozen=True)
@@ -187,76 +203,54 @@ class TrialBatch:
 
 
 # ---------------------------------------------------------------------------
-# Paper operating point (calibrated; see module docstring).
+# The circuits at the paper operating point (calibrated; see module docstring)
 # ---------------------------------------------------------------------------
 
-_OP_NEURON_COMMON = dict(
-    c_m=5e-8, g_l=1e-6, e_l=0.0, delta_t=0.0, v_reset=0.0, t_ref=5e-3,
-)
+class _Circuit(NamedTuple):
+    """A sequential circuit starts its second train ``pattern.gap`` after
+    the first ends, the dynamic synapse's first for BA; otherwise the trains
+    start ``pattern.gap`` apart, whatever the order."""
 
-OPERATING_POINT = {
-    # Memristive synapse: fresh device per trial at g_eq0 with a uniform
-    # initial-conductance jitter; non-volatile programming disabled for the
-    # short detector sessions.
-    "device": dict(g_eq0=3.005e-6, e0=math.inf),
-    "read_v": 0.2,
-    "g0_jitter": 0.012e-6,
-    # Static input resistor.
-    "static_resistance": 1.0 / 11.25e-6,
-    # Membrane threshold (leaky-IF operating point).
-    "theta_sequence": 0.613655,
-    "theta_coincidence": 1.2196,
-    # RC control matched to the device: R from the mean conductance,
-    # R*C equal to the default volatile decay constant.
-    "rc_resistance": 1.0 / 3.0e-6,
-    "rc_capacitance": 0.5 * 3.0e-6,
-    "dt": 1e-3,
+    synapses: tuple[Synapse, ...]
+    theta: float  # the leaky-IF neuron's threshold
+    g0_jitter: float = 0.0
+    force_mode: Optional[Mode] = None
+    sequential: bool = True
+
+
+# A fresh device per trial, read at 0.2 V, without non-volatile programming
+# in the short detector sessions; the sequence detector jitters its g0.
+_MEMRISTOR = MemristiveSynapse(DeviceParams(g_eq0=3.005e-6, e0=math.inf), 0.2)
+_STATIC = StaticSynapse(1.0 / 11.25e-6)
+_CIRCUITS = {
+    "sequence_detector": _Circuit((_STATIC, _MEMRISTOR), 0.613655, 0.012e-6),
+    # RC control matched to the device: R from the mean conductance, R*C
+    # equal to the default volatile decay constant.
+    "control_rc": _Circuit((_STATIC, RCSynapse(
+        resistance=1.0 / 3.0e-6, capacitance=0.5 * 3.0e-6, read_v=0.2)),
+        0.613655),
+    "coincidence_detector": _Circuit((_MEMRISTOR, _MEMRISTOR), 1.2196,
+                                     force_mode=Mode.FACILITATING,
+                                     sequential=False),
 }
+TOPOLOGIES = tuple(_CIRCUITS)
 
 
-def _op_neuron(theta: float) -> nrn.NeuronParams:
-    return nrn.NeuronParams(v_t=theta, v_peak=theta, **_OP_NEURON_COMMON)
+def _circuit(topology: str) -> _Circuit:
+    if topology not in _CIRCUITS:
+        raise ValueError(f"unknown topology: {topology!r}")
+    return _CIRCUITS[topology]
 
 
 def build_detector(topology: str, **overrides) -> Network:
-    """Build one of the named topologies at the paper operating point.
-
-    topology: "sequence_detector", "control_rc", or "coincidence_detector".
-    Keyword overrides patch the Network fields (e.g. force_mode, g0_jitter).
-    """
-    op = OPERATING_POINT
-    device_params = DeviceParams(**{**dev.DeviceParams().__dict__, **op["device"]})
-    read_v = op["read_v"]
-    if topology == "sequence_detector":
-        synapses: tuple[Synapse, ...] = (
-            StaticSynapse(resistance=op["static_resistance"]),
-            MemristiveSynapse(params=device_params, read_v=read_v),
-        )
-        neuron = _op_neuron(op["theta_sequence"])
-        jitter = op["g0_jitter"]
-    elif topology == "control_rc":
-        synapses = (
-            StaticSynapse(resistance=op["static_resistance"]),
-            RCSynapse(resistance=op["rc_resistance"],
-                      capacitance=op["rc_capacitance"], read_v=read_v),
-        )
-        neuron = _op_neuron(op["theta_sequence"])
-        jitter = 0.0
-    elif topology == "coincidence_detector":
-        synapses = (
-            MemristiveSynapse(params=device_params, read_v=read_v),
-            MemristiveSynapse(params=device_params, read_v=read_v),
-        )
-        neuron = _op_neuron(op["theta_coincidence"])
-        jitter = 0.0
-    else:
-        raise ValueError(f"unknown topology: {topology!r}")
-    force_mode = Mode.FACILITATING if topology == "coincidence_detector" else None
-    net = Network(topology=topology, synapses=synapses, neuron=neuron,
-                  dt=op["dt"], g0_jitter=jitter, force_mode=force_mode)
-    if overrides:
-        net = replace(net, **overrides)
-    return net
+    """Build the circuit ``topology`` at the paper operating point. Keyword
+    overrides patch the Network fields (e.g. force_mode, g0_jitter)."""
+    c = _circuit(topology)
+    neuron = nrn.NeuronParams(c_m=5e-8, g_l=1e-6, e_l=0.0, v_t=c.theta,
+                              delta_t=0.0, v_peak=c.theta, v_reset=0.0,
+                              t_ref=5e-3)
+    return replace(Network(topology, c.synapses, neuron, g0_jitter=c.g0_jitter,
+                           force_mode=c.force_mode), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +388,11 @@ def _memristor_currents(
     # keeps only (g_eq, delta_g) and exp(-(t - t_last)/tau_d) per sample.
     edges = [0, *np.searchsorted(grid, pulse_times).tolist(), grid.size]
     spans = list(zip(edges, edges[1:]))
-    relax = np.concatenate([np.exp(-(grid[lo:hi] - s[7]) / s[4])
-                            for s, (lo, hi) in zip(states, spans)])
+    # A tau_d so short that (t - t_last)/tau_d overflows reads as fully
+    # relaxed, as in ``device.conductance``.
+    with np.errstate(over="ignore"):
+        relax = np.concatenate([np.exp(-(grid[lo:hi] - s[7]) / s[4])
+                                for s, (lo, hi) in zip(states, spans)])
     # Each pulse's write charge, through the conductance right after it,
     # lands on its step.
     impulses = ([(k, _charge(s[0] + s[3], train, dt)) for k, s in
@@ -500,18 +497,15 @@ def monte_carlo(
         raise ValueError("trials must be >= 1")
     dt = network.dt
     train = pattern.train
+    sequential = _circuit(network.topology).sequential
     t_first = network.lead
-    if network.topology == "coincidence_detector":
-        t_second = t_first + pattern.gap
-    else:
-        t_second = t_first + train.duration + pattern.gap
+    t_second = t_first + (train.duration if sequential else 0.0) + pattern.gap
     t_end = max(t_first, t_second) + train.duration + network.tail
     grid = _time_grid(network, pattern, t_end)
     n = grid.size
 
     starts = [t_first, t_second]  # per synapse: static first, dynamic second
-    if (network.topology != "coincidence_detector"
-            and pattern.order is PatternOrder.BA):
+    if sequential and pattern.order is PatternOrder.BA:
         starts.reverse()
 
     mem_params = [s.params for s in network.synapses

@@ -70,6 +70,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         check(self)
+        # 1e7 pulses: a minute of run_protocol at ~5 us each (2-CPU x86-64).
+        if self.repeats * self.train.n > 10 ** 7:
+            raise ValueError(f"repeats * train.n must be at most 1e+07 pulses, "
+                             f"got {self.repeats} * {self.train.n}")
         if not self.t_rec > self.train.duration:
             raise ValueError("t_rec must exceed the train duration")
         if not self.g_post_delay < self.t_rec:

@@ -647,6 +647,34 @@ def test_network_override_rejects_bad_values(tmp_path, capsys, preset, patch):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("patch", [
+    {"g0_jitter": 5e-8}, {"force_mode": "saturating"},
+    {"include_write_charge": False, "g_post_delay": 0.3},
+    {"g_post_delay": 0.3},
+])
+def test_control_refuses_overrides_only_a_memristor_reads(tmp_path, capsys,
+                                                          patch):
+    # The RC control has no memristive synapse: these overrides used to run
+    # as if unset, while the manifest recorded them as run.
+    rc, out = _simulate_network_override(tmp_path, "fig4_control", patch)
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{next(iter(patch))} must keep its default" in err
+    assert not out.exists()
+
+
+def test_plan_repeats_beyond_the_pulse_bound_is_config_error(tmp_path, capsys):
+    # 1e11 repeats of a 3-pulse train ran for hours.
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "fig2_stp", "out_dir": str(out),
+                               "overrides": {"plan": {"repeats": 10 ** 11}}}))
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'plan'" in err and "repeats * train.n must be at most" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, patch, steps", [
     ("pattern", {"gap": 1e9}, "1e+12 steps"),
     ("network", {"tail": 1e300}, "1e+303 steps"),

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from memstp import device as dev
+from memstp import network
 from memstp.device import DeviceParams, Mode, Pulse
 from memstp.network import (
     MemristiveSynapse,
+    Network,
     PatternOrder,
     PatternSpec,
     RCSynapse,
@@ -46,6 +48,20 @@ def test_coincidence_topology_shape():
 def test_unknown_topology_rejected():
     with pytest.raises(ValueError, match="unknown topology"):
         build_detector("perceptron")
+    # A Network with a misspelt topology used to run with the sequence timing.
+    net = build_detector("sequence_detector")
+    with pytest.raises(ValueError, match="^unknown topology: 'sequnce_detector'$"):
+        Network(topology="sequnce_detector", synapses=net.synapses,
+                neuron=net.neuron)
+    with pytest.raises(ValueError, match="^unknown topology: 'perceptron'$"):
+        replace(net, topology="perceptron")
+
+
+def test_topologies_build_their_circuits():
+    assert network.TOPOLOGIES == ("sequence_detector", "control_rc",
+                                  "coincidence_detector")
+    for topology in network.TOPOLOGIES:
+        assert build_detector(topology).topology == topology
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +265,32 @@ def test_network_dataclasses_refuse_nan_and_meaningless_values(make, field,
     # through: a NaN resistance would run as a synapse that never fires.
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g0_jitter", 5e-8), ("force_mode", Mode.SATURATING),
+    ("force_mode", Mode.FACILITATING), ("include_write_charge", False),
+    ("g_post_delay", 0.3)])
+def test_network_without_a_memristor_refuses_memristor_only_fields(field,
+                                                                   value):
+    # The RC control used to accept these and run as if they were unset.
+    with pytest.raises(ValueError,
+                       match=f"^{field} must keep its default .*: only a "
+                             "memristive synapse reads it$"):
+        build_detector("control_rc", **{field: value})
+    assert getattr(build_detector("sequence_detector", **{field: value}),
+                   field) == value
+
+
+@pytest.mark.parametrize("order", list(PatternOrder))
+def test_memristor_with_the_shortest_decay_reads_fully_relaxed(order):
+    # Every pulse sets tau_d = 5e-324, so (t - t_last)/tau_d overflows on
+    # the samples after it, which used to raise a RuntimeWarning.
+    net = build_detector("sequence_detector")
+    static, syn = net.synapses
+    syn = replace(syn, params=replace(syn.params, tau_d_min=5e-324,
+                                      tau_d_base=5e-324))
+    p_spike, batch = monte_carlo(replace(net, synapses=(static, syn)),
+                                 PatternSpec(order=order), 20, seed=1)
+    assert 0.0 <= p_spike <= 1.0
+    assert np.isfinite(batch.g_post).all()

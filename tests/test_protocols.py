@@ -50,6 +50,20 @@ def test_plan_refuses_an_infinite_protocol_clock(kw):
         make_plan(**kw)
 
 
+@pytest.mark.parametrize("repeats, n", [(3_333_334, 3), (10 ** 11, 3),
+                                        (1, 10 ** 7 + 1)])
+def test_plan_refuses_more_than_ten_million_pulses(repeats, n):
+    # 1e11 repeats of the fig2_stp train ran run_protocol for hours.
+    with pytest.raises(ValueError,
+                       match=r"^repeats \* train.n must be at most 1e\+07 "):
+        make_plan(repeats=repeats, train=pr.PulseTrain(n=n, t_int=0.4))
+
+
+@pytest.mark.parametrize("repeats, n", [(3_333_333, 3), (10 ** 7, 1)])
+def test_plan_takes_ten_million_pulses(repeats, n):
+    assert make_plan(repeats=repeats, train=pr.PulseTrain(n=n)).repeats == repeats
+
+
 def test_train_trace_with_the_shortest_tau_d_is_fully_relaxed():
     # The first pulse sets tau_d = tau_d_min, so every sample before the
     # second pulse divides by 5e-324.
