@@ -3,11 +3,10 @@ variable projection.
 
 Both the TM peaks and the amplitude law scale linearly with their amplitude
 (a, c_amp). That scale is solved in closed form at every trial of the other
-parameters, which bounded TRF least squares (scipy) searches from a small
-multi-start grid with the exact Jacobian of the projected residual
-(Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973). A grid of more than three
-starts is staged: each start takes a short probe, and only the three
-lowest-cost probes run on to convergence."""
+parameters (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973), which a
+bounded Levenberg-Marquardt loop in numpy searches with the exact Jacobian
+of the projected residual. All starts of a small multi-start grid advance
+together, one row each of a batch, and the lowest-cost row wins."""
 
 from __future__ import annotations
 
@@ -32,8 +31,7 @@ class FitResult:
     """Named parameter estimates plus goodness-of-fit bookkeeping.
 
     ``iterations`` counts the residual (function) evaluations of the winning
-    least-squares start, its probe included when the starts were staged;
-    closed-form fits report 0.
+    least-squares start; closed-form fits report 0.
     """
 
     params: dict[str, float]
@@ -47,80 +45,125 @@ class FitResult:
             raise ValueError("sse must be >= 0")
 
 
-# The staged multi-start of _least_squares.
-_PROBE_NFEV = 10  # evaluations every start gets before the cut
-_KEEP_STARTS = 3  # lowest-cost probes that run on to convergence
-
-
 def _least_squares(
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     y: np.ndarray,
     starts: Sequence[Sequence[float]],
     bounds: Sequence[tuple[float, float]],
     names: Sequence[str],
+    log: Sequence[bool],
 ) -> FitResult:
     """Fit y ~ c * f(theta), with c solved in closed form (variable projection).
 
-    ``model(theta)`` returns f and df/dtheta; ``bounds[0]`` bounds the linear
-    scale c and the rest bound theta. At each theta the scale is the clipped
-    projection c = f.y / f.f, so bounded TRF least squares (scipy) searches
-    theta alone, with the exact Jacobian of the projected residual. The data
-    are divided by their largest magnitude so TRF's tolerances do not depend
-    on their units.
+    ``model`` maps a (rows, k) array of theta to (rows, n) f and its
+    (rows, n, k) derivative df/dtheta; ``bounds[0]`` bounds the linear scale
+    c and the rest bound theta. At each theta the scale is the clipped
+    projection c = f.y / f.f, so only theta is searched, with the exact
+    Jacobian of the projected residual. The data are divided by their largest
+    magnitude so the tolerances do not depend on their units.
 
-    With at most ``_KEEP_STARTS`` starts, each runs to convergence and the
-    lowest cost wins. With more, the multi-start is staged: every start runs
-    ``_PROBE_NFEV`` evaluations, and only the ``_KEEP_STARTS`` probes with the
-    lowest cost continue from where they stopped, to convergence. The
-    reported ``iterations`` are the winner's probe plus continuation
-    evaluations.
+    Every start is one row of a batched Levenberg-Marquardt loop, searched in
+    log coordinates where ``log`` is set. A row's step solves
+    (J'J + lam * D) s = -J'r over its free coordinates, with D the diagonal
+    of J'J (Marquardt's scaling) kept at its running maximum, which forgets
+    5% per step. The step is clipped to the box, and a coordinate at a bound
+    whose gradient points out of the box is held there. Each row has its own
+    damping lam (Nielsen's update) and stops on its own: converged when each
+    free Jacobian column is orthogonal to the residual (cosine at most 1e-8),
+    when the cost stops falling or when the step stops moving (each to
+    1e-8), and not converged after 400 evaluations. The row with the lowest cost wins,
+    and ``iterations`` counts its evaluations.
     """
-    # Imported here so that only the fits load scipy.
-    from scipy.optimize import least_squares
-
     (c_lo, c_hi), *theta_bounds = bounds
     scale = float(np.max(np.abs(y))) or 1.0
     y_s = y / scale
-    cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    c_lo, c_hi = c_lo / scale, c_hi / scale
+    log = np.array(log, dtype=bool)
+    t_lo, t_hi = np.array(theta_bounds, dtype=float).T
 
-    def projected(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # scipy asks for the residual and the Jacobian at each accepted point
-        # in separate calls; both come from one model evaluation.
-        key = theta.tobytes()
-        if key not in cache:
-            f, df = model(theta)
-            ff = f @ f
-            c_raw = (f @ y_s) / ff
-            c = min(max(c_raw, c_lo / scale), c_hi / scale)
-            r = y_s - c * f
-            jac = -c * df
-            if c == c_raw:  # a scale held at its bound has no derivative
-                jac -= np.outer(f, (df.T @ r - c * (df.T @ f)) / ff)
-            cache.clear()
-            cache[key] = (r, jac)
-        return cache[key]
+    def search(theta: np.ndarray) -> np.ndarray:
+        z = np.array(theta, dtype=float)
+        z[..., log] = np.log(z[..., log])
+        return z
 
-    lo, hi = zip(*theta_bounds)
+    def theta_of(z: np.ndarray) -> np.ndarray:
+        theta = z.copy()
+        theta[:, log] = np.exp(z[:, log])
+        return np.clip(theta, t_lo, t_hi)
 
-    def trf(start, max_nfev):
-        return least_squares(lambda th: projected(th)[0], start,
-                             jac=lambda th: projected(th)[1], bounds=(lo, hi),
-                             method="trf", x_scale="jac", max_nfev=max_nfev)
+    def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        theta = theta_of(z)
+        f, df = model(theta)
+        df[:, :, log] *= theta[:, None, log]
+        ff = np.einsum("rn,rn->r", f, f)
+        c_raw = f @ y_s / ff
+        c = np.clip(c_raw, c_lo, c_hi)
+        r = y_s - c[:, None] * f
+        jac = -c[:, None, None] * df
+        # d c / d theta; a scale held at its bound has no derivative.
+        dc = (np.einsum("rnk,rn->rk", df, r)
+              - c[:, None] * np.einsum("rnk,rn->rk", df, f)) / ff[:, None]
+        jac -= np.where((c == c_raw)[:, None, None],
+                        f[:, :, None] * dc[:, None, :], 0.0)
+        return r, jac, np.einsum("rn,rn->r", r, r)
 
-    probe_nfev = [0] * len(starts)
-    if len(starts) > _KEEP_STARTS:
-        probes = sorted((trf(s, _PROBE_NFEV) for s in starts),
-                        key=lambda r: r.cost)[:_KEEP_STARTS]
-        starts = [p.x for p in probes]
-        probe_nfev = [p.nfev for p in probes]
-    best, spent = min(((trf(start, 4000), n) for start, n
-                       in zip(starts, probe_nfev)), key=lambda run: run[0].cost)
-    f, _ = model(best.x)
-    c = min(max(float(f @ y / (f @ f)), c_lo), c_hi)
+    lo, hi = search(t_lo), search(t_hi)
+    z = np.clip(search(starts), lo, hi)
+    rows, k = z.shape
+    r, jac, cost = evaluate(z)
+    nfev = np.ones(rows, dtype=int)
+    lam, nu = np.ones(rows), np.full(rows, 2.0)
+    scaling = np.zeros((rows, k))
+    status = np.zeros(rows, dtype=int)  # 0 running, 1 converged, -1 capped
+    eye = np.eye(k)
+    while (run := np.flatnonzero(status == 0)).size:
+        zr, rr, jr, cr = z[run], r[run], jac[run], cost[run]
+        g = np.einsum("rnk,rn->rk", jr, rr)
+        a = np.einsum("rnk,rnl->rkl", jr, jr)
+        scaling[run] = np.maximum(0.95 * scaling[run],
+                                  np.diagonal(a, axis1=1, axis2=2))
+        d = np.where(scaling[run] > 0.0, scaling[run], 1.0)
+        held = ((zr <= lo) & (g > 0.0)) | ((zr >= hi) & (g < 0.0))
+        g = np.where(held, 0.0, g)
+        # Largest cosine between the residual and a free Jacobian column.
+        done = (np.max(np.abs(g) / np.sqrt(d), axis=1)
+                <= 1e-8 * np.sqrt(cr))
+        status[run[done]] = 1
+        run, zr, cr, g, a, d, held = (
+            v[~done] for v in (run, zr, cr, g, a, d, held))
+        m = np.where(held[:, :, None] | held[:, None, :], eye,
+                     a + lam[run, None, None] * d[:, :, None] * eye)
+        z_new = np.clip(zr - np.linalg.solve(m, g[:, :, None])[:, :, 0],
+                        lo, hi)
+        step = z_new - zr
+        r_new, jac_new, cost_new = evaluate(z_new)
+        nfev[run] += 1
+        fall = cr - cost_new
+        predicted = -2.0 * np.einsum("rk,rk->r", g, step) - np.einsum(
+            "rk,rkl,rl->r", step, a, step)
+        ratio = fall / np.where(predicted > 0.0, predicted, np.inf)
+        ok = fall > 0.0
+        took = run[ok]
+        z[took], r[took], jac[took], cost[took] = (
+            z_new[ok], r_new[ok], jac_new[ok], cost_new[ok])
+        lam[took] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio[ok] - 1.0) ** 3)
+        nu[took] = 2.0
+        lam[run[~ok]] *= nu[run[~ok]]
+        nu[run[~ok]] *= 2.0
+        status[run[(ok & (fall <= 1e-8 * cr) & (ratio > 0.25))
+                   | (np.linalg.norm(step, axis=1)
+                      <= 1e-8 * (1e-8 + np.linalg.norm(zr, axis=1)))]] = 1
+        status[run[(status[run] == 0) & (nfev[run] >= 400)]] = -1
+    best = int(np.argmin(cost))
+    theta = theta_of(z[best:best + 1])
+    f = model(theta)[0][0]
+    c = min(max(float(f @ y / (f @ f)), c_lo * scale), c_hi * scale)
+    converged = bool(status[best] == 1)
     return FitResult(
-        params=dict(zip(names, (c, *map(float, best.x)))),
-        sse=float(np.sum((y - c * f) ** 2)), iterations=int(spent + best.nfev),
-        converged=best.status > 0, message=best.message)
+        params=dict(zip(names, (c, *map(float, theta[0])))),
+        sse=float(np.sum((y - c * f) ** 2)), iterations=int(nfev[best]),
+        converged=converged,
+        message="" if converged else "evaluation cap of 400 reached")
 
 
 def fit_decay(
@@ -168,13 +211,13 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
     """Least-squares fit of the TM peak map to measured peaks.
 
     The peaks scale linearly with a, so a is solved in closed form at every
-    (u_cap, tau_rec, tau_f), and bounded TRF least squares (scipy) searches
-    those three with the exact Jacobian of :func:`tm.peaks_with_jacobian`.
+    (u_cap, tau_rec, tau_f), and the batched Levenberg-Marquardt loop of
+    ``_least_squares`` searches u_cap and the logarithms of the two time
+    constants with the exact Jacobian of :func:`tm.peaks_with_jacobian`.
     Starts: u_cap in {0.1, 0.5, 0.9} crossed with four fast/slow
-    (tau_rec, tau_f) pairs. Each of the 12 starts is probed with 10
-    evaluations, and the 3 lowest-cost probes run on to convergence.
+    (tau_rec, tau_f) pairs; all 12 run to convergence as one batch.
     ``FitResult.iterations`` counts the function evaluations of the winning
-    start, probe plus continuation.
+    start.
     """
     pk = np.asarray(peaks, dtype=float)
     ts = list(spike_times)
@@ -187,10 +230,7 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
             raise ValueError("spike times must be strictly increasing")
 
     def model(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u_cap, tau_rec, tau_f = theta
-        f, df = tm.peaks_with_jacobian(
-            tm.TMParams(a=1.0, u_cap=u_cap, tau_rec=tau_rec, tau_f=tau_f), ts)
-        return f, df[:, 1:]
+        return tm.peaks_with_jacobian(*theta.T, ts)
 
     a_hi = max(float(np.max(pk)), 1e-12)
     bounds = [(1e-12, 1e6 * a_hi), (1e-3, 1.0), (1e-3, 100.0), (1e-3, 100.0)]
@@ -200,7 +240,7 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
               for tau_rec0, tau_f0 in ((0.05, 0.5), (0.5, 0.05), (0.02, 1.0),
                                        (2.0, 0.5))]
     res = _least_squares(model, pk, starts, bounds,
-                         ("a", "u_cap", "tau_rec", "tau_f"))
+                         ("a", "u_cap", "tau_rec", "tau_f"), (False, True, True))
     if float(np.ptp(pk)) <= 1e-12 * a_hi:
         res.converged = False
         res.message = "peaks constant: time constants unidentifiable"
@@ -220,8 +260,9 @@ def fit_amplitude_curve(
 ) -> FitResult:
     """Fit dG_norm(v) = c_amp * (exp((|v| - v_th)/v0) - 1) to (v, dG) points.
 
-    c_amp is solved in closed form at every v0, so bounded TRF least squares
-    (scipy) searches v0 alone, from v0 in {0.5, 1.5, 4.0}.
+    c_amp is solved in closed form at every v0, so the batched
+    Levenberg-Marquardt loop of ``_least_squares`` searches log v0 alone,
+    from v0 in {0.5, 1.5, 4.0}.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points above the write threshold")
@@ -238,8 +279,9 @@ def fit_amplitude_curve(
                          message="all responses zero: v0 unidentifiable")
 
     def model(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, df = _amplitude_law(v - v_th, theta[0])
-        return f, df[:, None]
+        f, df = _amplitude_law(v - v_th, theta)
+        return f, df[:, :, None]
 
     return _least_squares(model, y, [[0.5], [1.5], [4.0]],
-                          [(1e-12, 1e6), (1e-3, 100.0)], ("c_amp", "v0"))
+                          [(1e-12, 1e6), (1e-3, 100.0)], ("c_amp", "v0"),
+                          (True,))

@@ -14,6 +14,10 @@ against, and the binned statistics acceptance criterion 3 reads.
 - ``BinSpec``, ``BinStats`` and ``bin_statistics``: event records of
   ``protocols.run_protocol`` histogrammed by g0, with the Saturating
   fraction of each bin.
+- ``trf_least_squares``: the variable-projection fit of
+  ``fitting._least_squares`` run by scipy's bounded TRF from every start to
+  convergence, in the fit's own coordinates; the package's batched
+  Levenberg-Marquardt fit must not end above it.
 
 pytest puts this directory on ``sys.path``, so tests ``import oracles``.
 """
@@ -25,9 +29,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from memstp._fields import AT_LEAST_ONE, check, param
 from memstp.device import EventLabel
+from memstp.fitting import FitResult
 from memstp.neuron import _EXP_ARG_MAX, NeuronParams, _check_dt
 from memstp.protocols import EventRecord
 from memstp.tm import TMParams
@@ -226,3 +232,53 @@ def bin_statistics(records: Sequence[EventRecord], bins: BinSpec) -> BinStats:
     p_s = np.where(empty, np.nan, 1.0 - p_f)
     return BinStats(spec=bins, counts=counts, p_f=p_f, p_s=p_s, empty=empty,
                     underflow=underflow, overflow=overflow)
+
+
+# ---------------------------------------------------------------------------
+# Bounded least squares by scipy TRF, every start to convergence
+# ---------------------------------------------------------------------------
+
+
+def trf_least_squares(model, y, starts, bounds, names, log=None) -> FitResult:
+    """``fitting._least_squares`` as scipy's bounded TRF would fit it.
+
+    Same arguments (``log`` is ignored: TRF searches theta itself, scaled by
+    its Jacobian), same projection of the linear scale c = f.y / f.f clipped
+    to ``bounds[0]``, same data scaling; each start runs one row of
+    ``model`` at a time to convergence (at most 4000 evaluations), and the
+    lowest cost wins. ``iterations`` counts the evaluations of all starts.
+    """
+    (c_lo, c_hi), *theta_bounds = bounds
+    scale = float(np.max(np.abs(y))) or 1.0
+    y_s = y / scale
+    cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def projected(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # TRF asks for the residual and the Jacobian in separate calls.
+        key = theta.tobytes()
+        if key not in cache:
+            f, df = (v[0] for v in model(theta[None]))
+            ff = f @ f
+            c_raw = (f @ y_s) / ff
+            c = min(max(c_raw, c_lo / scale), c_hi / scale)
+            r = y_s - c * f
+            jac = -c * df
+            if c == c_raw:
+                jac -= np.outer(f, (df.T @ r - c * (df.T @ f)) / ff)
+            cache.clear()
+            cache[key] = (r, jac)
+        return cache[key]
+
+    lo, hi = zip(*theta_bounds)
+    runs = [least_squares(lambda th: projected(th)[0], start,
+                          jac=lambda th: projected(th)[1], bounds=(lo, hi),
+                          method="trf", x_scale="jac", max_nfev=4000)
+            for start in starts]
+    best = min(runs, key=lambda run: run.cost)
+    f = model(best.x[None])[0][0]
+    c = min(max(float(f @ y / (f @ f)), c_lo), c_hi)
+    return FitResult(
+        params=dict(zip(names, (c, *map(float, best.x)))),
+        sse=float(np.sum((y - c * f) ** 2)),
+        iterations=sum(run.nfev for run in runs),
+        converged=best.status > 0, message=best.message)

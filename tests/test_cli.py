@@ -917,19 +917,52 @@ def test_pyproject_version_is_package_version():
     assert match and match.group(1) == cli.__version__
 
 
+# Run first in a fresh interpreter: any import of scipy then fails loudly.
+_NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
 def test_detector_run_does_not_import_scipy(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"preset": "fig4_sequence", "trials": 20}))
     proc = run_python("-c", (
-        "import sys, memstp.cli\n"
+        _NO_SCIPY + "import memstp.cli\n"
         "memstp.cli.build_parser()\n"
         f"code = memstp.cli.main(['simulate', '--config', {str(config)!r}, "
         f"'--out', {str(tmp_path / 'out')!r}])\n"
-        "print(code, sorted(m for m in sys.modules\n"
-        "                   if m == 'scipy' or m.startswith('scipy.')))\n"))
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.')))\n"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "trials_ba.csv").is_file()
+
+
+@pytest.mark.parametrize("kind", sorted(_FIT_INPUTS))
+def test_fit_does_not_import_scipy(tmp_path, kind):
+    header, rows, extra = _FIT_INPUTS[kind]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    argv = ["fit", kind, "--input", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "fit"), *extra]
+    proc = run_python("-c", (
+        _NO_SCIPY + "import memstp.cli\n"
+        f"print(memstp.cli.main({argv!r}))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
+    assert (tmp_path / "fit" / f"fit_{kind}.csv").is_file()
+
+
+def test_cli_import_loads_no_package_beyond_numpy():
+    # What the benchmark's setup probe imports. Standard-library modules are
+    # part of every interpreter; any other top-level package is import
+    # weight that every run of the command line pays.
+    listing = ("import sys\n"
+               "print(*sorted({m.partition('.')[0] for m in sys.modules}\n"
+               "              - set(sys.stdlib_module_names)))\n")
+    bare = run_python("-c", "import numpy\n" + listing)
+    loaded = run_python("-c", "import memstp, memstp.cli\n"
+                        "memstp.cli.build_parser()\n" + listing)
+    assert bare.returncode == loaded.returncode == 0, bare.stderr + loaded.stderr
+    assert "numpy" in bare.stdout.split()
+    assert set(loaded.stdout.split()) <= set(bare.stdout.split()) | {"memstp"}
 
 
 def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):

@@ -108,19 +108,34 @@ def test_peaks_equal_advance_on_spike_fold_exactly(params, times):
      [0.05 * k for k in range(6)]),
 ])
 def test_peaks_with_jacobian_matches_central_differences(params, times):
-    peaks, jac = tm.peaks_with_jacobian(params, times)
-    assert peaks.tolist() == tm.peaks_for_train(params, times)
-    assert jac.shape == (len(times), 4)
+    peaks, jac = tm.peaks_with_jacobian(
+        [params.u_cap], [params.tau_rec], [params.tau_f], times, a=params.a)
+    assert peaks.tolist() == [tm.peaks_for_train(params, times)]
+    assert jac.shape == (1, len(times), 3)
     theta = np.array([params.a, params.u_cap, params.tau_rec, params.tau_f])
-    for k in range(4):
+    for k in range(1, 4):
         h = 1e-6 * theta[k]
         up, down = theta.copy(), theta.copy()
         up[k] += h
         down[k] -= h
         diff = (np.array(tm.peaks_for_train(TMParams(*up), times))
                 - np.array(tm.peaks_for_train(TMParams(*down), times))) / (2 * h)
-        np.testing.assert_allclose(jac[:, k], diff, rtol=1e-5,
+        np.testing.assert_allclose(jac[0, :, k - 1], diff, rtol=1e-5,
                                    atol=1e-9 * np.max(np.abs(jac)))
+
+
+def test_peaks_with_jacobian_rows_equal_one_row_calls_exactly():
+    times = [0.0, 0.15, 0.55, 0.7, 1.3, 4.0]
+    u_cap = [0.1, 0.9, 0.37, 1e-3, 1.0]
+    tau_rec = [0.02, 2.0, 0.15, 100.0, 1e-3]
+    tau_f = [0.5, 0.01, 0.07, 1e-3, 100.0]
+    peaks, jac = tm.peaks_with_jacobian(u_cap, tau_rec, tau_f, times, a=0.7)
+    assert peaks.shape == (5, 6) and jac.shape == (5, 6, 3)
+    for row, params in enumerate(zip(u_cap, tau_rec, tau_f)):
+        one_peaks, one_jac = tm.peaks_with_jacobian(
+            *([p] for p in params), times, a=0.7)
+        assert peaks[row].tolist() == one_peaks[0].tolist()
+        assert jac[row].tolist() == one_jac[0].tolist()
 
 
 def test_long_gap_resets_to_rest_peak():
