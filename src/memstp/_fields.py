@@ -2,13 +2,14 @@
 
 Every float field refuses NaN, and an infinity unless it is declared to admit
 one. A field may also declare a domain, the values it may take, by taking its
-default from ``param``. Each parameter class's ``__post_init__`` calls
-``check``, which applies both and names the field as "<field> must ...".
-Rules that tie two fields together stay written out in their class.
+default from ``param``. A parameter class is declared with ``checked``,
+which runs ``check`` on every construction; ``check`` applies both and names
+the field as "<field> must ...". Rules that tie two fields together stay
+written out in their class's ``__post_init__``, which runs after ``check``.
 """
 
 import math
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Optional
 
 
@@ -41,3 +42,18 @@ def check(obj: Any) -> None:
         domain = f.metadata.get("domain")
         if domain is not None and not domain[1](value):
             raise ValueError(f"{f.name} must {domain[0]}")
+
+
+def checked(cls: type) -> type:
+    """Declare the parameter class ``cls``: a frozen dataclass that runs
+    ``check`` on every construction, then its own ``__post_init__`` rules,
+    if it has any."""
+    rules = vars(cls).get("__post_init__")
+
+    def __post_init__(self) -> None:
+        check(self)
+        if rules is not None:
+            rules(self)
+
+    cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)

@@ -438,16 +438,12 @@ def _read_csv_columns(path: str, columns: Sequence[str]) -> list[np.ndarray]:
     return out
 
 
-def _read_config(path: str) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    config = parse_config(text)
     if args.seed is not None:
         _check_seed(args.seed, "--seed")
         config.seed = args.seed
@@ -505,17 +501,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = {"iv": "iv_sweep", "decay": "fig3a_decay",
               "amplitude": "fig3b_amplitude"}[args.kind]
-    if args.config is not None:
-        config = _read_config(args.config)
-        if config.preset != preset:
-            raise ConfigError(
-                f"sweep {args.kind} expects preset {preset!r}, "
-                f"config names {config.preset!r}")
-    else:
-        config = RunConfig(preset=preset)
-    if args.out is not None:
-        config.out_dir = args.out
-    return run_config(config)
+    return run_config(RunConfig(preset=preset, out_dir=args.out))
 
 
 _THREADS_HELP = ("ignored: detector trials run batched in one process; "
@@ -555,10 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--out", default="out")
     p_det.set_defaults(func=_cmd_detect)
 
-    p_sweep = sub.add_parser("sweep", help="run an iv/decay/amplitude sweep")
+    p_sweep = sub.add_parser(
+        "sweep", help="run an iv/decay/amplitude sweep at its preset's "
+        "defaults (a configured run is `simulate --config`)")
     p_sweep.add_argument("kind", choices=["iv", "decay", "amplitude"])
-    p_sweep.add_argument("--config")
-    p_sweep.add_argument("--out")
+    p_sweep.add_argument("--out", default="out")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -40,7 +40,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._fields import NON_NEGATIVE, POSITIVE, check, param
+from ._fields import NON_NEGATIVE, POSITIVE, checked, param
 
 __all__ = [
     "Mode",
@@ -75,7 +75,7 @@ class EventLabel(Enum):
     STP_S = "stp_s"
 
 
-@dataclass(frozen=True)
+@checked
 class DeviceParams:
     """Device constants. Conductances in siemens, times in seconds.
 
@@ -137,7 +137,6 @@ class DeviceParams:
     polarity_sensitive: bool = False
 
     def __post_init__(self) -> None:
-        check(self)
         if not self.g_min < self.g_max:  # energy_barrier divides by the span
             raise ValueError("g_max must exceed g_min")
         for name in ("g_eq0", "g_floor"):
@@ -173,16 +172,13 @@ class DeviceState:
     t_last_pulse: Optional[float]
 
 
-@dataclass(frozen=True)
+@checked
 class Pulse:
     """A rectangular voltage pulse: onset time, signed amplitude, width."""
 
     t: float
     v: float
     w: float = param(domain=POSITIVE)
-
-    def __post_init__(self) -> None:
-        check(self)
 
 
 def initial_state(params: DeviceParams, t0: float = 0.0) -> DeviceState:
@@ -301,9 +297,9 @@ def _fold(
     their pulse history, g_eq, delta_g, acc and mode are arrays over the batch
     (mode an object array of ``Mode``), and the mode, jump-cap and barrier
     branches act as per-device masks. A call reads the parameters, checks the
-    width and chooses between the scalar and the batch form once; it takes
-    the non-volatile step only at a pulse where some device crossed the
-    barrier.
+    width and chooses between the scalar and the batch form once. It reads
+    the barrier of the current g_eq only where some accumulator has reached
+    e0, the least barrier, and steps only where some device crossed it.
     """
     if not w > 0.0:
         raise ValueError("pulse width w must be > 0")
@@ -321,8 +317,7 @@ def _fold(
     saturating = mode == Mode.SATURATING
     walks = any_(saturating)  # whether a Saturating decrement can apply
     keep = 1.0 - _BARRIER_REL_TOL
-    # The barrier moves only with g_eq: it is re-read where g_eq can change.
-    limit = energy_barrier(p, g_eq) * keep
+    e_floor = p.e0 * keep  # the barrier is never below e0
     for t, v in pulses:
         u, x, delta_g, acc = _relax(p, t, t_last, u, x, delta_g, tau_d, acc)
         amp = abs(v)
@@ -353,13 +348,13 @@ def _fold(
                 # g_floor.
                 g_eq = select(saturating & (g_eq > g_floor),
                               g_eq - kappa_sat * (g_eq - g_floor), g_eq)
-                limit = energy_barrier(p, g_eq) * keep
             delta_g = delta_g + jump
             t_last_pulse = t
 
         acc = acc + _joule(g_eq + delta_g, v, w)
-        crossed = acc >= limit
-        if any_(crossed):
+        # An infinite barrier is never evaluated: no accumulator reaches it.
+        if any_(acc >= e_floor) and any_(
+                crossed := acc >= energy_barrier(p, g_eq) * keep):
             step = -dg_nv if polarity_sensitive and v > 0.0 else dg_nv
             # Clamp so the total conductance stays inside [g_min, g_max].
             stepped = g_eq + step
@@ -368,7 +363,6 @@ def _fold(
             stepped = select(ceiling < stepped, ceiling, stepped)
             g_eq = select(crossed, stepped, g_eq)
             acc = select(crossed, 0.0, acc)
-            limit = energy_barrier(p, g_eq) * keep
         t_last = t
         yield (g_eq, u, x, delta_g, tau_d, acc, mode, t, t_last_pulse), jump
 

@@ -56,11 +56,12 @@ def _least_squares(
     """Fit y ~ c * f(theta), with c solved in closed form (variable projection).
 
     ``model`` maps a (rows, k) array of theta to (rows, n) f and its
-    (rows, n, k) derivative df/dtheta; ``bounds[0]`` bounds the linear scale
-    c and the rest bound theta. At each theta the scale is the clipped
-    projection c = f.y / f.f, so only theta is searched, with the exact
-    Jacobian of the projected residual. The data are divided by their largest
-    magnitude so the tolerances do not depend on their units.
+    (rows, n, k) derivative df/dtheta, and ``bounds`` bound theta. The scale
+    c is bounded relative to the data, to [1e-12, 1e6 * max(y, 1e-12)]; at
+    each theta it is the clipped projection c = f.y / f.f, so only theta is
+    searched, with the exact Jacobian of the projected residual. The data
+    are divided by their largest magnitude so the tolerances do not depend
+    on their units.
 
     Every start is one row of a batched Levenberg-Marquardt loop, searched in
     log coordinates where ``log`` is set. A row's step solves
@@ -74,12 +75,12 @@ def _least_squares(
     1e-8), and not converged after 400 evaluations. The row with the lowest cost wins,
     and ``iterations`` counts its evaluations.
     """
-    (c_lo, c_hi), *theta_bounds = bounds
     scale = float(np.max(np.abs(y))) or 1.0
     y_s = y / scale
-    c_lo, c_hi = c_lo / scale, c_hi / scale
+    c_lo = 1e-12 / scale
+    c_hi = 1e6 * max(float(np.max(y_s)), c_lo)
     log = np.array(log, dtype=bool)
-    t_lo, t_hi = np.array(theta_bounds, dtype=float).T
+    t_lo, t_hi = np.array(bounds, dtype=float).T
 
     def search(theta: np.ndarray) -> np.ndarray:
         z = np.array(theta, dtype=float)
@@ -157,12 +158,14 @@ def _least_squares(
     best = int(np.argmin(cost))
     theta = theta_of(z[best:best + 1])
     f = model(theta)[0][0]
-    c = min(max(float(f @ y / (f @ f)), c_lo * scale), c_hi * scale)
+    c = min(max(float(f @ y_s / (f @ f)), c_lo), c_hi) * scale
+    # Residuals beyond sqrt of the largest float give an SSE of inf.
+    with np.errstate(over="ignore"):
+        sse = float(np.sum((y - c * f) ** 2))
     converged = bool(status[best] == 1)
     return FitResult(
         params=dict(zip(names, (c, *map(float, theta[0])))),
-        sse=float(np.sum((y - c * f) ** 2)), iterations=int(nfev[best]),
-        converged=converged,
+        sse=sse, iterations=int(nfev[best]), converged=converged,
         message="" if converged else "evaluation cap of 400 reached")
 
 
@@ -176,27 +179,26 @@ def fit_decay(
     Samples at or below the baseline are excluded; fewer than 3 usable
     samples, or usable samples at fewer than 2 distinct times, is a failure.
     """
+    def failed(message: str) -> FitResult:
+        return FitResult(params={"tau_d": math.nan, "amplitude": math.nan},
+                         sse=0.0, iterations=0, converged=False,
+                         message=message)
+
     t = np.asarray(times, dtype=float)
     g = np.asarray(values, dtype=float)
     resid = g - g_eq
     usable = resid > 0.0
     if int(np.count_nonzero(usable)) < 3:
-        return FitResult(params={"tau_d": math.nan, "amplitude": math.nan},
-                         sse=0.0, iterations=0, converged=False,
-                         message="fewer than 3 samples above baseline")
+        return failed("fewer than 3 samples above baseline")
     t_u, ln_r = t[usable], np.log(resid[usable])
     if t_u.min() == t_u.max():
-        return FitResult(params={"tau_d": math.nan, "amplitude": math.nan},
-                         sse=0.0, iterations=0, converged=False,
-                         message="fewer than 2 distinct times above baseline")
+        return failed("fewer than 2 distinct times above baseline")
     # Regress on t / max|t| so the regression never squares a huge time.
     t_scale = float(np.max(np.abs(t_u))) or 1.0
     slope, intercept = np.polyfit(t_u / t_scale, ln_r, 1)
     slope /= t_scale
     if slope >= 0.0:
-        return FitResult(params={"tau_d": math.nan, "amplitude": math.nan},
-                         sse=0.0, iterations=0, converged=False,
-                         message="non-decaying residual")
+        return failed("non-decaying residual")
     tau_d = -1.0 / slope
     amplitude = math.exp(intercept)
     # Residuals beyond sqrt of the largest float give an SSE of inf.
@@ -213,7 +215,8 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
     The peaks scale linearly with a, so a is solved in closed form at every
     (u_cap, tau_rec, tau_f), and the batched Levenberg-Marquardt loop of
     ``_least_squares`` searches u_cap and the logarithms of the two time
-    constants with the exact Jacobian of :func:`tm.peaks_with_jacobian`.
+    constants with the exact Jacobian of :func:`tm.peaks_with_jacobian`,
+    which refuses spike times that do not rise from spike to spike.
     Starts: u_cap in {0.1, 0.5, 0.9} crossed with four fast/slow
     (tau_rec, tau_f) pairs; all 12 run to convergence as one batch.
     ``FitResult.iterations`` counts the function evaluations of the winning
@@ -225,15 +228,11 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
         raise ValueError("need equal-length peaks and spike_times, >= 2")
     if not (np.all(np.isfinite(pk)) and np.all(np.isfinite(ts))):
         raise ValueError("peaks and spike_times must be finite")
-    for earlier, later in zip(ts, ts[1:]):
-        if later <= earlier:
-            raise ValueError("spike times must be strictly increasing")
 
     def model(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tm.peaks_with_jacobian(*theta.T, ts)
 
-    a_hi = max(float(np.max(pk)), 1e-12)
-    bounds = [(1e-12, 1e6 * a_hi), (1e-3, 1.0), (1e-3, 100.0), (1e-3, 100.0)]
+    bounds = [(1e-3, 1.0), (1e-3, 100.0), (1e-3, 100.0)]
     # tau_rec = 2 s: with slow recovery, starts from the faster pairs alone
     # can all end in one local minimum above the true parameters' SSE.
     starts = [[u0, tau_rec0, tau_f0] for u0 in (0.1, 0.5, 0.9)
@@ -241,7 +240,7 @@ def fit_tm(peaks: Sequence[float], spike_times: Sequence[float]) -> FitResult:
                                        (2.0, 0.5))]
     res = _least_squares(model, pk, starts, bounds,
                          ("a", "u_cap", "tau_rec", "tau_f"), (False, True, True))
-    if float(np.ptp(pk)) <= 1e-12 * a_hi:
+    if float(np.ptp(pk)) <= 1e-12 * max(float(np.max(pk)), 1e-12):
         res.converged = False
         res.message = "peaks constant: time constants unidentifiable"
     return res
@@ -251,8 +250,9 @@ def _amplitude_law(dv: np.ndarray, v0: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(dv/v0) - 1 and its derivative in v0. The exponent is capped at 50
     so extreme v0 trials stay finite; where the cap holds, f ignores v0."""
     arg = dv / v0
-    e = np.exp(np.minimum(arg, 50.0))
-    return e - 1.0, np.where(arg < 50.0, -e * arg / v0, 0.0)
+    capped = np.minimum(arg, 50.0)
+    e = np.exp(capped)
+    return e - 1.0, np.where(arg < 50.0, -e * capped / v0, 0.0)
 
 
 def fit_amplitude_curve(
@@ -260,9 +260,9 @@ def fit_amplitude_curve(
 ) -> FitResult:
     """Fit dG_norm(v) = c_amp * (exp((|v| - v_th)/v0) - 1) to (v, dG) points.
 
-    c_amp is solved in closed form at every v0, so the batched
-    Levenberg-Marquardt loop of ``_least_squares`` searches log v0 alone,
-    from v0 in {0.5, 1.5, 4.0}.
+    c_amp is solved in closed form at every v0, at most 1e6 times the
+    largest response, so the batched Levenberg-Marquardt loop of
+    ``_least_squares`` searches log v0 alone, from v0 in {0.5, 1.5, 4.0}.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points above the write threshold")
@@ -282,6 +282,5 @@ def fit_amplitude_curve(
         f, df = _amplitude_law(v - v_th, theta)
         return f, df[:, :, None]
 
-    return _least_squares(model, y, [[0.5], [1.5], [4.0]],
-                          [(1e-12, 1e6), (1e-3, 100.0)], ("c_amp", "v0"),
-                          (True,))
+    return _least_squares(model, y, [[0.5], [1.5], [4.0]], [(1e-3, 100.0)],
+                          ("c_amp", "v0"), (True,))

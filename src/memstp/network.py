@@ -33,7 +33,7 @@ import numpy as np
 
 from . import device as dev
 from . import neuron as nrn
-from ._fields import NON_NEGATIVE, POSITIVE, check, param
+from ._fields import NON_NEGATIVE, POSITIVE, checked, param
 from .device import DeviceParams, Mode
 from .protocols import PulseTrain, _fold_train
 
@@ -56,7 +56,7 @@ class PatternOrder(Enum):
     BA = "ba"
 
 
-@dataclass(frozen=True)
+@checked
 class PatternSpec:
     """Two three-pulse trains: A on the static synapse, B on the dynamic one.
 
@@ -70,25 +70,19 @@ class PatternSpec:
     train: PulseTrain = PulseTrain(n=3, v=-4.0, w=10e-6, t_int=0.25)
     gap: float = param(0.25, NON_NEGATIVE)
 
-    def __post_init__(self) -> None:
-        check(self)
 
-
-@dataclass(frozen=True)
+@checked
 class StaticSynapse:
     """Fixed resistor: injects v/R only while one of its pulses is on."""
 
     resistance: float = param(domain=POSITIVE)
-
-    def __post_init__(self) -> None:
-        check(self)
 
     @property
     def g(self) -> float:
         return 1.0 / self.resistance
 
 
-@dataclass(frozen=True)
+@checked
 class RCSynapse:
     """Resistor-capacitor control: pulse current low-passed with tau = R*C,
     plus the standing read-bias current through R."""
@@ -96,9 +90,6 @@ class RCSynapse:
     resistance: float = param(domain=POSITIVE)
     capacitance: float = param(domain=POSITIVE)
     read_v: float = 0.0
-
-    def __post_init__(self) -> None:
-        check(self)
 
     @property
     def g(self) -> float:
@@ -109,21 +100,18 @@ class RCSynapse:
         return self.resistance * self.capacitance
 
 
-@dataclass(frozen=True)
+@checked
 class MemristiveSynapse:
     """Volatile memristor under a standing read bias."""
 
     params: DeviceParams
     read_v: float = 0.2
 
-    def __post_init__(self) -> None:
-        check(self)
-
 
 Synapse = Union[StaticSynapse, RCSynapse, MemristiveSynapse]
 
 
-@dataclass(frozen=True)
+@checked
 class Network:
     """A detector: a topology of ``TOPOLOGIES``, its synapses and neuron,
     and its trials' time step and span. Only a memristive synapse reads
@@ -143,7 +131,6 @@ class Network:
     tail: float = param(0.5, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        check(self)
         _circuit(self.topology)
         if len(self.synapses) != 2:
             raise ValueError(f"synapses must hold exactly two synapses, got "

@@ -27,12 +27,11 @@ the event path's oracle. Both paths take the Euler coefficients from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._fields import NON_NEGATIVE, POSITIVE, check, param
+from ._fields import NON_NEGATIVE, POSITIVE, checked, param
 
 __all__ = [
     "NeuronParams",
@@ -60,7 +59,7 @@ def _block_steps(rows: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(rows, 1))
 
 
-@dataclass(frozen=True)
+@checked
 class NeuronParams:
     """Membrane constants. No field may be NaN; only v_peak may be infinite,
     for a membrane that never fires."""
@@ -75,7 +74,6 @@ class NeuronParams:
     t_ref: float = param(0.002, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        check(self)
         if self.v_reset >= self.v_peak:
             raise ValueError("v_reset must be below v_peak")
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import device as dev
 from . import fitting
-from ._fields import AT_LEAST_ONE, POSITIVE, check, param
+from ._fields import AT_LEAST_ONE, POSITIVE, checked, param
 from .device import DeviceParams, DeviceState, EventLabel, Mode, Pulse
 
 __all__ = [
@@ -35,7 +34,7 @@ _DECAY_AMPLITUDE = 4.0
 _DECAY_SAMPLES = 200
 
 
-@dataclass(frozen=True)
+@checked
 class PulseTrain:
     """n pulses of amplitude v and width w, one every t_int seconds."""
 
@@ -45,7 +44,6 @@ class PulseTrain:
     t_int: float = 0.4
 
     def __post_init__(self) -> None:
-        check(self)
         if not self.t_int > self.w:
             raise ValueError("t_int must exceed the pulse width")
 
@@ -58,7 +56,7 @@ class PulseTrain:
         return [t0 + k * self.t_int for k in range(self.n)]
 
 
-@dataclass(frozen=True)
+@checked
 class ExperimentPlan:
     """A train repeated with recovery gaps, plus read times."""
 
@@ -69,7 +67,6 @@ class ExperimentPlan:
     g_post_delay: float = param(10e-3, POSITIVE)
 
     def __post_init__(self) -> None:
-        check(self)
         # 1e7 pulses: a minute of run_protocol at ~5 us each (2-CPU x86-64).
         if self.repeats * self.train.n > 10 ** 7:
             raise ValueError(f"repeats * train.n must be at most 1e+07 pulses, "

@@ -8,12 +8,11 @@ efficacy peak a*u+*x is emitted, and x is depleted by the post-jump u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._fields import POSITIVE, check, param
+from ._fields import POSITIVE, checked, param
 
 __all__ = [
     "TMParams",
@@ -22,15 +21,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@checked
 class TMParams:
     a: float = param(1.0, POSITIVE)
     u_cap: float = param(0.2, ("be in [0, 1]", lambda u: 0.0 <= u <= 1.0))
     tau_rec: float = param(0.05, POSITIVE)
     tau_f: float = param(0.5, POSITIVE)
-
-    def __post_init__(self) -> None:
-        check(self)
 
 
 def peaks_for_train(params: TMParams, spike_times: Sequence[float]) -> list[float]:

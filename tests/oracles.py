@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from memstp._fields import AT_LEAST_ONE, check, param
+from memstp._fields import AT_LEAST_ONE, checked, param
 from memstp.device import EventLabel
 from memstp.fitting import FitResult
 from memstp.neuron import _EXP_ARG_MAX, NeuronParams, _check_dt
@@ -177,14 +177,13 @@ def step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@checked
 class BinSpec:
     lo: float
     hi: float
     n_bins: int = param(domain=AT_LEAST_ONE)
 
     def __post_init__(self) -> None:
-        check(self)
         if self.lo >= self.hi:
             raise ValueError("lo must be below hi")
 
@@ -244,11 +243,11 @@ def trf_least_squares(model, y, starts, bounds, names, log=None) -> FitResult:
 
     Same arguments (``log`` is ignored: TRF searches theta itself, scaled by
     its Jacobian), same projection of the linear scale c = f.y / f.f clipped
-    to ``bounds[0]``, same data scaling; each start runs one row of
+    to [1e-12, 1e6 * max(y)], same data scaling; each start runs one row of
     ``model`` at a time to convergence (at most 4000 evaluations), and the
     lowest cost wins. ``iterations`` counts the evaluations of all starts.
     """
-    (c_lo, c_hi), *theta_bounds = bounds
+    c_lo, c_hi = 1e-12, 1e6 * max(float(np.max(y)), 1e-12)
     scale = float(np.max(np.abs(y))) or 1.0
     y_s = y / scale
     cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
@@ -269,7 +268,7 @@ def trf_least_squares(model, y, starts, bounds, names, log=None) -> FitResult:
             cache[key] = (r, jac)
         return cache[key]
 
-    lo, hi = zip(*theta_bounds)
+    lo, hi = zip(*bounds)
     runs = [least_squares(lambda th: projected(th)[0], start,
                           jac=lambda th: projected(th)[1], bounds=(lo, hi),
                           method="trf", x_scale="jac", max_nfev=4000)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,18 @@ def test_sweep_iv_runs(tmp_path):
     assert len(lines) > 100
 
 
+def test_sweep_takes_no_config(tmp_path, monkeypatch, capsys):
+    # A configured run is `simulate --config`; `sweep` runs its preset's
+    # defaults, so argparse refuses --config before anything is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"preset": "fig3a_decay"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "decay", "--config", "c.json"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--trials", "0"),
     ("--threads", "0"),
@@ -773,6 +786,46 @@ def test_fit_rejects_non_finite_flag(tmp_path, capsys, kind, flag, bad):
     assert rc == cli.EXIT_CONFIG
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "fit" / f"fit_{kind}.csv").exists()
+
+
+_FIT_EDGES = [0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
+
+
+def _fit_edge_cases():
+    """(kind, rows): an edge value in the first or last cell of either
+    column, a repeated time, and one response far above the rest."""
+    for kind, (header, rows, _) in _FIT_INPUTS.items():
+        for value in _FIT_EDGES:
+            for k in (0, len(rows) - 1):
+                for col in (0, 1):
+                    cell = list(rows[k])
+                    cell[col] = value
+                    yield pytest.param(
+                        kind, [*rows[:k], tuple(cell), *rows[k + 1:]],
+                        id=f"{kind}-{header[col]}[{k}]={value!r}")
+        yield pytest.param(kind, [rows[0], (rows[0][0], rows[1][1]), *rows[2:]],
+                           id=f"{kind}-repeated-{header[0]}")
+        yield pytest.param(kind, [*rows[:-1], (rows[-1][0], 1e200)],
+                           id=f"{kind}-{header[1]}[{len(rows) - 1}]=1e200")
+
+
+@pytest.mark.parametrize("kind,rows", _fit_edge_cases())
+def test_fit_exits_cleanly_on_edge_values(tmp_path, kind, rows):
+    # Each fit ends in exit 0, 2 or 3 with no RuntimeWarning on the way, and
+    # writes finite parameters when it exits 0.
+    header, _, extra = _FIT_INPUTS[kind]
+    (tmp_path / "in.csv").write_text(
+        ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["fit", kind, "--input", str(tmp_path / "in.csv"),
+                         "--out", str(tmp_path / "fit"), *extra])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+    if code == cli.EXIT_OK:
+        lines = (tmp_path / "fit" / f"fit_{kind}.csv").read_text().splitlines()
+        # The parameter rows come before sse, converged and iterations.
+        for line in lines[1:-3]:
+            assert math.isfinite(float(line.split(",")[1])), line
 
 
 def test_fit_csv_reports_iterations(tmp_path):

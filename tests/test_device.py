@@ -161,6 +161,31 @@ def test_infinite_barrier_and_leak_are_allowed(field):
     assert params.g_min <= dev.conductance(state) <= params.g_max
 
 
+def test_an_infinite_barrier_is_never_read(monkeypatch):
+    # No accumulator reaches e0 = inf, so the kernel never evaluates the
+    # barrier over a whole I-V sweep.
+    def read(*_):
+        raise AssertionError("barrier read")
+
+    monkeypatch.setattr(dev, "energy_barrier", read)
+    params = DeviceParams(e0=math.inf)
+    *_, i = dev.iv_sweep(dev.initial_state(params), params,
+                         np.linspace(-2.0, 2.0, 50), 1e-3)
+    assert np.all(np.isfinite(i))
+
+
+def test_the_least_barrier_is_crossed_within_its_tolerance():
+    # At g_eq = g_min the barrier is e0 itself, the least it can be: an
+    # accumulator a part in 1e10 below it still crosses, as it does higher up.
+    e = dev._joule(2.5e-6, 0.5, 1e-5)
+    params = DeviceParams(g_eq0=2.5e-6, tau_acc=math.inf,
+                          e0=(e + e) * (1.0 + 1e-10))
+    state = dev.initial_state(params)
+    for t in (0.0, 0.1):  # sub-threshold: g_eq and the energy stay put
+        state, _ = dev.apply_pulse(state, params, Pulse(t=t, v=0.5, w=1e-5))
+    assert state.g_eq == 2.5e-6 + params.dg_nv and state.acc == 0.0
+
+
 @pytest.mark.parametrize("w", [math.nan, 0.0, -1e-5])
 def test_kernel_width_check_refuses_nan(params, state, w):
     with pytest.raises(ValueError, match="pulse width w must be > 0"):

@@ -230,6 +230,18 @@ def test_fit_amplitude_round_trip():
     assert res.params["v0"] == pytest.approx(1.5, rel=0.05)
 
 
+@pytest.mark.parametrize("gain", [1e9, 1e200])
+def test_fit_amplitude_scale_bound_is_relative_to_the_data(gain):
+    # A fixed bound on c_amp held the scale at 1e6 and the fit "converged"
+    # at its first start; the bound is 1e6 times the largest response.
+    v = np.array([1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+    y = gain * 0.05 * (np.exp((v - 1.0) / 1.5) - 1.0)
+    res = fitting.fit_amplitude_curve(list(zip(v, y)), v_th=1.0)
+    assert res.converged
+    assert res.params["c_amp"] == pytest.approx(gain * 0.05, rel=1e-6)
+    assert res.params["v0"] == pytest.approx(1.5, rel=1e-6)
+
+
 def test_fit_amplitude_two_points_rejected():
     with pytest.raises(ValueError):
         fitting.fit_amplitude_curve([(2.0, 0.1), (3.0, 0.2)], v_th=1.0)
