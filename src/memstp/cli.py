@@ -301,6 +301,10 @@ def _trial_rows(batch: network.TrialBatch, pattern: str) -> Iterable[tuple]:
 def _run_detector_preset(config: RunConfig, out: Path,
                          patterns: Sequence[PatternOrder], inputs) -> dict:
     net, pattern = inputs["network"], inputs["pattern"]
+    try:
+        network.check_trial_steps(net, pattern, config.trials)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     summary = {}
     for order in patterns:
         p_spike, batch = network.monte_carlo(

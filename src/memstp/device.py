@@ -27,7 +27,8 @@ scalar or the batch form once, and takes the non-volatile step only at a
 pulse where some device crossed the barrier. ``apply_pulse`` is its
 one-pulse case; ``iv_sweep``, and every train in ``protocols`` and
 ``network``, is one call. A ``DeviceState`` is built only where a public
-function returns one.
+function returns one, and checked once where one is handed to the kernel:
+its g_eq must lie in [g_min, g_max].
 """
 
 from __future__ import annotations
@@ -196,6 +197,17 @@ def _values(state: DeviceState) -> tuple:
             state.acc, state.mode, state.t_last, state.t_last_pulse)
 
 
+def _kernel_values(state: DeviceState, params: DeviceParams) -> tuple:
+    """``_values(state)`` for a public call into ``_fold``, whose barrier
+    guard assumes g_min <= g_eq <= g_max (the barrier is never below e0
+    there). Checked once per call, never per pulse."""
+    if not params.g_min <= state.g_eq <= params.g_max:
+        raise ValueError(
+            f"state g_eq={state.g_eq!r} must lie in [g_min, g_max] = "
+            f"[{params.g_min!r}, {params.g_max!r}]")
+    return _values(state)
+
+
 def _read(s: tuple, t):
     """Closed-form conductance of plain state ``s`` at ``t >= t_last``."""
     g_eq, _, _, delta_g, tau_d, _, _, t_last, _ = s
@@ -276,7 +288,8 @@ def apply_pulse(
     Sub-threshold pulses do not count as write events: they leave tau_d and
     t_last_pulse alone so that they cannot drive the rate law.
     """
-    s, jump = next(_fold(_values(state), params, [(pulse.t, pulse.v)], pulse.w))
+    s, jump = next(_fold(_kernel_values(state, params), params,
+                         [(pulse.t, pulse.v)], pulse.w))
     return DeviceState(*s), jump
 
 
@@ -433,7 +446,7 @@ def iv_sweep(
     v = np.asarray(waveform, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("waveform samples must be finite")
-    s = _values(state)
+    s = _kernel_values(state, params)
     # Sample k sits at t_last + dt + ... + dt, k additions of dt.
     times = itertools.accumulate(itertools.repeat(dt, v.size - 1),
                                  initial=state.t_last)

@@ -45,6 +45,11 @@ class FitResult:
             raise ValueError("sse must be >= 0")
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _least_squares(
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     y: np.ndarray,
@@ -74,6 +79,14 @@ def _least_squares(
     when the cost stops falling or when the step stops moving (each to
     1e-8), and not converged after 400 evaluations. The row with the lowest cost wins,
     and ``iterations`` counts its evaluations.
+
+    A fit evaluates a dozen rows or fewer, so each iteration's cost is
+    mostly numpy's per-call overhead; the loop uses the lean ufunc forms
+    (np.minimum/np.maximum for a clip, np.where for a masked update, a
+    reduced square for a row norm), which give the same bits. Its einsum
+    and matmul sums add in an order that follows the memory layout of the
+    model's arrays: a model that returns another layout can move a fit's
+    last bits and with them its iteration count.
     """
     scale = float(np.max(np.abs(y))) or 1.0
     y_s = y / scale
@@ -88,17 +101,15 @@ def _least_squares(
         return z
 
     def theta_of(z: np.ndarray) -> np.ndarray:
-        theta = z.copy()
-        theta[:, log] = np.exp(z[:, log])
-        return np.clip(theta, t_lo, t_hi)
+        return np.minimum(np.maximum(np.where(log, np.exp(z), z), t_lo), t_hi)
 
     def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         theta = theta_of(z)
         f, df = model(theta)
-        df[:, :, log] *= theta[:, None, log]
+        df = np.where(log, df * theta[:, None, :], df)
         ff = np.einsum("rn,rn->r", f, f)
         c_raw = f @ y_s / ff
-        c = np.clip(c_raw, c_lo, c_hi)
+        c = np.minimum(np.maximum(c_raw, c_lo), c_hi)
         r = y_s - c[:, None] * f
         jac = -c[:, None, None] * df
         # d c / d theta; a scale held at its bound has no derivative.
@@ -109,7 +120,7 @@ def _least_squares(
         return r, jac, np.einsum("rn,rn->r", r, r)
 
     lo, hi = search(t_lo), search(t_hi)
-    z = np.clip(search(starts), lo, hi)
+    z = np.minimum(np.maximum(search(starts), lo), hi)
     rows, k = z.shape
     r, jac, cost = evaluate(z)
     nfev = np.ones(rows, dtype=int)
@@ -134,8 +145,8 @@ def _least_squares(
             v[~done] for v in (run, zr, cr, g, a, d, held))
         m = np.where(held[:, :, None] | held[:, None, :], eye,
                      a + lam[run, None, None] * d[:, :, None] * eye)
-        z_new = np.clip(zr - np.linalg.solve(m, g[:, :, None])[:, :, 0],
-                        lo, hi)
+        z_new = np.minimum(np.maximum(
+            zr - np.linalg.solve(m, g[:, :, None])[:, :, 0], lo), hi)
         step = z_new - zr
         r_new, jac_new, cost_new = evaluate(z_new)
         nfev[run] += 1
@@ -152,8 +163,7 @@ def _least_squares(
         lam[run[~ok]] *= nu[run[~ok]]
         nu[run[~ok]] *= 2.0
         status[run[(ok & (fall <= 1e-8 * cr) & (ratio > 0.25))
-                   | (np.linalg.norm(step, axis=1)
-                      <= 1e-8 * (1e-8 + np.linalg.norm(zr, axis=1)))]] = 1
+                   | (_row_norms(step) <= 1e-8 * (1e-8 + _row_norms(zr)))]] = 1
         status[run[(status[run] == 0) & (nfev[run] >= 400)]] = -1
     best = int(np.argmin(cost))
     theta = theta_of(z[best:best + 1])

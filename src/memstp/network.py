@@ -48,7 +48,15 @@ __all__ = [
     "build_detector",
     "monte_carlo",
     "TOPOLOGIES",
+    "MAX_TRIAL_STEPS",
+    "check_trial_steps",
 ]
+
+# Trial steps (trials x steps per trial) one batch may take. The event path
+# ran 1.1e9 a second (sequence detector, 200k trials of 1,850 steps, 2-CPU
+# x86-64), so the bound is about 10 s of it per order; a batch's memory grows
+# with its trials, about 240 MB per 1M.
+MAX_TRIAL_STEPS = 10 ** 10
 
 
 class PatternOrder(Enum):
@@ -444,19 +452,50 @@ def _pieces(drives: Sequence[_Drive],
     return (piece(*span) for span in spans)
 
 
+def _grid_text(network: Network, pattern: PatternSpec, t_end: float) -> str:
+    """The fields that set a trial's grid, for a message."""
+    return (f"network.dt={network.dt:g} s over {t_end:g} s, the span set by "
+            f"network.lead={network.lead:g} s, pattern.gap={pattern.gap:g} s, "
+            f"network.tail={network.tail:g} s and trains "
+            f"{pattern.train.duration:g} s long")
+
+
 def _time_grid(network: Network, pattern: PatternSpec,
                t_end: float) -> np.ndarray:
-    """The sample grid dt*k of a trial, k < ceil(t_end/dt)."""
+    """The sample grid dt*k of a trial, k < ceil(t_end/dt), once
+    ``check_trial_steps`` has bounded the step count."""
     steps = t_end / network.dt
     try:
         return network.dt * np.arange(math.ceil(steps))
-    except (OverflowError, MemoryError, ValueError) as exc:
-        raise MemoryError(
-            f"cannot allocate a trial grid of {steps:.4g} steps of "
-            f"network.dt={network.dt:g} s over {t_end:g} s, the span set by "
-            f"network.lead={network.lead:g} s, pattern.gap={pattern.gap:g} s, "
-            f"network.tail={network.tail:g} s and trains "
-            f"{pattern.train.duration:g} s long") from exc
+    except MemoryError as exc:
+        raise MemoryError(f"cannot allocate a trial grid of {steps:.4g} steps "
+                          f"of {_grid_text(network, pattern, t_end)}") from exc
+
+
+def _trial_span(network: Network,
+                pattern: PatternSpec) -> tuple[float, float, float]:
+    """Start of the first and of the second train of a trial, and its end."""
+    train = pattern.train
+    sequential = _circuit(network.topology).sequential
+    t_first = network.lead
+    t_second = t_first + (train.duration if sequential else 0.0) + pattern.gap
+    t_end = max(t_first, t_second) + train.duration + network.tail
+    return t_first, t_second, t_end
+
+
+def check_trial_steps(network: Network, pattern: PatternSpec,
+                      trials: int) -> None:
+    """Refuse a batch of more than MAX_TRIAL_STEPS trial steps: ``trials``
+    times the ceil(t_end/dt) steps of one trial's grid."""
+    t_end = _trial_span(network, pattern)[2]
+    steps = t_end / network.dt
+    if steps <= MAX_TRIAL_STEPS:
+        steps = math.ceil(steps)
+    if not trials * steps <= MAX_TRIAL_STEPS:
+        raise ValueError(
+            f"trials * steps per trial must be at most {MAX_TRIAL_STEPS:.0e}, "
+            f"got {trials} trials of {steps:g} steps of "
+            f"{_grid_text(network, pattern, t_end)}")
 
 
 def monte_carlo(
@@ -482,17 +521,17 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_trial_steps(network, pattern, trials)
     dt = network.dt
     train = pattern.train
-    sequential = _circuit(network.topology).sequential
-    t_first = network.lead
-    t_second = t_first + (train.duration if sequential else 0.0) + pattern.gap
-    t_end = max(t_first, t_second) + train.duration + network.tail
+    t_first, t_second, t_end = _trial_span(network, pattern)
     grid = _time_grid(network, pattern, t_end)
     n = grid.size
 
-    starts = [t_first, t_second]  # per synapse: static first, dynamic second
-    if sequential and pattern.order is PatternOrder.BA:
+    # Per synapse: static first, dynamic second; a sequential BA swaps them.
+    starts = [t_first, t_second]
+    if (_circuit(network.topology).sequential
+            and pattern.order is PatternOrder.BA):
         starts.reverse()
 
     mem_params = [s.params for s in network.synapses

@@ -112,7 +112,8 @@ def apply_train(
     t0: float,
 ) -> tuple[DeviceState, list[float]]:
     """Apply one pulse train; returns the state and per-pulse conductance peaks."""
-    states = _fold_train(dev._values(state), params, train, t0)
+    s = dev._kernel_values(state, params)
+    states = _fold_train(s, params, train, t0)
     return DeviceState(*states[-1]), _peaks(states)
 
 
@@ -144,7 +145,7 @@ def train_trace(
             f"cannot allocate a trace of {span / sample_dt:.4g} samples of "
             f"sample_dt={sample_dt:g} s over {span:g} s, a train "
             f"{train.duration:g} s long and a {tail:g} s tail") from exc
-    s = dev._values(state)
+    s = dev._kernel_values(state, params)
     states = [s] + _fold_train(s, params, train, t0)
     # states[k] holds from pulse k-1 (inclusive) until pulse k. A tau_d so
     # short that (t - t_last)/tau_d overflows reads as fully relaxed.
@@ -169,7 +170,7 @@ def run_protocol(
     after the last pulse; reads never change the state.
     """
     records: list[EventRecord] = []
-    s = dev._values(state)
+    s = dev._kernel_values(state, params)
     t = state.t_last
     for k in range(plan.repeats):
         g_eq, u, x, delta_g, tau_d, acc, mode, t_last, t_last_pulse = s

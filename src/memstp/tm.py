@@ -48,52 +48,60 @@ def peaks_with_jacobian(
 
     ``u_cap``, ``tau_rec`` and ``tau_f`` are equal-length sequences, one
     entry per row; ``a`` scales every row. Returns (rows, n) peaks and a
-    (rows, n, 3) Jacobian, carried forward through the loop over spikes.
+    (rows, n, 3) Jacobian, carried forward through the fold over spikes.
+
+    Each row is one fold on Python floats: a fit evaluates a dozen rows or
+    fewer, where a numpy call per map costs more than the arithmetic. The
+    arrays keep the memory layout of a fold with rows side by side (spike
+    index outermost), since the fit's sums depend on it in the last bit.
     """
-    times = list(spike_times)
+    # Floats once: arithmetic on numpy scalars, which a CSV column yields,
+    # costs several times more.
+    times = [float(t) for t in spike_times]
     for earlier, later in zip(times, times[1:]):
         if later <= earlier:
             raise ValueError("spike times must be strictly increasing")
-    u_cap, tau_rec, tau_f = (np.asarray(p, dtype=float)
-                             for p in (u_cap, tau_rec, tau_f))
-    n, rows = len(times), u_cap.size
+    params = [np.asarray(p, dtype=float).tolist()
+              for p in (u_cap, tau_rec, tau_f)]
+    n, rows = len(times), len(params[0])
     # The first spike sees dt = 0, where exp(0) = 1 leaves the rest state
-    # exactly as it is. The exponentials are libm's (math.exp): numpy's SIMD
-    # exp can round differently in the last bit, and the peaks must equal a
-    # one-spike-at-a-time fold of the same maps exactly.
-    dt = np.diff(np.array(times[:1] + times, dtype=float))
-    e_f, e_r = (np.array([[math.exp(-step / t) for t in tau.tolist()]
-                          for step in dt.tolist()]).reshape(n, rows)
-                for tau in (tau_f, tau_rec))
-    # d e / d tau of each relaxation factor.
-    de_f = e_f * dt[:, None] / tau_f / tau_f
-    de_r = e_r * dt[:, None] / tau_rec / tau_rec
-    # Fold of the relaxation and spike maps over spikes, rows side by side.
-    # The state's sensitivities ride along; u does not depend on tau_rec.
-    peaks = np.empty((n, rows))
-    jac = np.empty((n, 3, rows))
-    u, x = np.zeros(rows), np.ones(rows)
-    u_c, u_f, x_c, x_r, x_f = np.zeros((5, rows))
-    for i in range(n):
-        u_f = u_f * e_f[i] + u * de_f[i]
-        u_c = u_c * e_f[i]
-        u = u * e_f[i]
-        spent = 1.0 - x
-        x_r = x_r * e_r[i] - spent * de_r[i]
-        x_c = x_c * e_r[i]
-        x_f = x_f * e_r[i]
-        x = 1.0 - spent * e_r[i]
-        rest = 1.0 - u
-        u_c = u_c * (1.0 - u_cap) + rest
-        u_f = u_f * (1.0 - u_cap)
-        u = u + u_cap * rest
-        peaks[i] = a * u * x
-        jac[i, 0] = u_c * x + u * x_c
-        jac[i, 1] = u * x_r
-        jac[i, 2] = u_f * x + u * x_f
-        rest = 1.0 - u
-        x_c = x_c * rest - x * u_c
-        x_r = x_r * rest
-        x_f = x_f * rest - x * u_f
-        x = x * rest
-    return peaks.T, a * jac.transpose(2, 0, 1)
+    # exactly as it is. The exponentials are libm's (math.exp), so the peaks
+    # equal a one-spike-at-a-time fold of the same maps exactly.
+    steps = [t - prev for prev, t in zip(times[:1] + times, times)]
+    peaks = [0.0] * (n * rows)
+    jac = [0.0] * (n * 3 * rows)
+    exp = math.exp
+    for row, (u_cap_r, tau_rec_r, tau_f_r) in enumerate(zip(*params)):
+        # The state and its sensitivities; u does not depend on tau_rec.
+        u, x = 0.0, 1.0
+        u_c = u_f = x_c = x_r = x_f = 0.0
+        keep = 1.0 - u_cap_r
+        at = row
+        for dt in steps:
+            e_f = exp(-dt / tau_f_r)
+            e_r = exp(-dt / tau_rec_r)
+            u_f = u_f * e_f + u * (e_f * dt / tau_f_r / tau_f_r)
+            u_c = u_c * e_f
+            u = u * e_f
+            spent = 1.0 - x
+            x_r = x_r * e_r - spent * (e_r * dt / tau_rec_r / tau_rec_r)
+            x_c = x_c * e_r
+            x_f = x_f * e_r
+            x = 1.0 - spent * e_r
+            rest = 1.0 - u
+            u_c = u_c * keep + rest
+            u_f = u_f * keep
+            u = u + u_cap_r * rest
+            peaks[at] = a * u * x
+            j = 3 * at - 2 * row
+            jac[j] = a * (u_c * x + u * x_c)
+            jac[j + rows] = a * (u * x_r)
+            jac[j + 2 * rows] = a * (u_f * x + u * x_f)
+            rest = 1.0 - u
+            x_c = x_c * rest - x * u_c
+            x_r = x_r * rest
+            x_f = x_f * rest - x * u_f
+            x = x * rest
+            at += rows
+    return (np.array(peaks).reshape(n, rows).T,
+            np.array(jac).reshape(n, 3, rows).transpose(2, 0, 1))

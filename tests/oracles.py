@@ -2,12 +2,16 @@
 against, and the binned statistics acceptance criterion 3 reads.
 
 - ``TMState``, ``advance`` and ``on_spike``: the reduced Tsodyks-Markram
-  synapse as a state machine, one interval or spike at a time. The plain
-  float fold in ``tm.peaks_with_jacobian`` (and so ``tm.peaks_for_train``)
-  must give their peaks exactly.
+  synapse as a state machine, one interval or spike at a time. The float
+  fold in ``tm.peaks_with_jacobian`` (and so ``tm.peaks_for_train``) must
+  give their peaks exactly.
 - ``integrate_reference``: the same synapse integrated by classical RK4
   between spikes, independent of the closed-form exponentials that
   ``tm.peaks_for_train`` uses; it converges to them as dt shrinks.
+- ``peaks_with_jacobian_rows``: the TM peaks and their Jacobian folded with
+  all rows side by side as numpy arrays. ``tm.peaks_with_jacobian``, which
+  folds one row at a time on Python floats, must equal it bit for bit, in
+  the same shapes and memory layout.
 - ``NeuronState`` and ``step``: one membrane advanced one Euler step at a
   time. ``neuron.run_traces``, on its one-row float path and its batched
   array path, must reproduce its spike steps and voltages.
@@ -124,6 +128,59 @@ def integrate_reference(
         u = u_plus
         prev = t
     return peaks
+
+
+def peaks_with_jacobian_rows(
+    u_cap: Sequence[float],
+    tau_rec: Sequence[float],
+    tau_f: Sequence[float],
+    spike_times: Sequence[float],
+    a: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``tm.peaks_with_jacobian``: the same maps folded over
+    spikes with all rows side by side as numpy arrays, one array operation
+    per map. Returns (rows, n) peaks and a (rows, n, 3) Jacobian."""
+    times = list(spike_times)
+    for earlier, later in zip(times, times[1:]):
+        if later <= earlier:
+            raise ValueError("spike times must be strictly increasing")
+    u_cap, tau_rec, tau_f = (np.asarray(p, dtype=float)
+                             for p in (u_cap, tau_rec, tau_f))
+    n, rows = len(times), u_cap.size
+    dt = np.diff(np.array(times[:1] + times, dtype=float))
+    e_f, e_r = (np.array([[math.exp(-step / t) for t in tau.tolist()]
+                          for step in dt.tolist()]).reshape(n, rows)
+                for tau in (tau_f, tau_rec))
+    # d e / d tau of each relaxation factor.
+    de_f = e_f * dt[:, None] / tau_f / tau_f
+    de_r = e_r * dt[:, None] / tau_rec / tau_rec
+    peaks = np.empty((n, rows))
+    jac = np.empty((n, 3, rows))
+    u, x = np.zeros(rows), np.ones(rows)
+    u_c, u_f, x_c, x_r, x_f = np.zeros((5, rows))
+    for i in range(n):
+        u_f = u_f * e_f[i] + u * de_f[i]
+        u_c = u_c * e_f[i]
+        u = u * e_f[i]
+        spent = 1.0 - x
+        x_r = x_r * e_r[i] - spent * de_r[i]
+        x_c = x_c * e_r[i]
+        x_f = x_f * e_r[i]
+        x = 1.0 - spent * e_r[i]
+        rest = 1.0 - u
+        u_c = u_c * (1.0 - u_cap) + rest
+        u_f = u_f * (1.0 - u_cap)
+        u = u + u_cap * rest
+        peaks[i] = a * u * x
+        jac[i, 0] = u_c * x + u * x_c
+        jac[i, 1] = u * x_r
+        jac[i, 2] = u_f * x + u * x_f
+        rest = 1.0 - u
+        x_c = x_c * rest - x * u_c
+        x_r = x_r * rest
+        x_f = x_f * rest - x * u_f
+        x = x * rest
+    return peaks.T, a * jac.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

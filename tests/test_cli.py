@@ -490,6 +490,24 @@ def test_device_presets_match_golden_csvs(tmp_path, preset):
             (GOLDEN / "device" / preset / name).read_bytes()
 
 
+FIT_CASES = sorted(p.name for p in (GOLDEN / "fit").iterdir())
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_fits_match_golden_csvs(tmp_path, case):
+    # Each case holds input.csv and the fit_<kind>.csv that `memstp fit
+    # <kind>` wrote for it (decay with --g-eq 2.9e-6) before the TM fold
+    # moved onto Python floats.
+    (golden,) = (GOLDEN / "fit" / case).glob("fit_*.csv")
+    kind = golden.stem.removeprefix("fit_")
+    extra = ["--g-eq", "2.9e-6"] if kind == "decay" else []
+    out = tmp_path / case
+    assert main(["fit", kind, "--input", str(golden.with_name("input.csv")),
+                 "--out", str(out), *extra]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [golden.name]
+    assert (out / golden.name).read_bytes() == golden.read_bytes()
+
+
 # Values whose '%.9g' and f"{x:.9g}" spellings could plausibly part ways.
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 1e-310, math.inf, -math.inf, math.nan, 1e16, -1e16, 1e15,
@@ -692,19 +710,36 @@ def test_plan_repeats_beyond_the_pulse_bound_is_config_error(tmp_path, capsys):
     ("pattern", {"gap": 1e9}, "1e+12 steps"),
     ("network", {"tail": 1e300}, "1e+303 steps"),
 ])
-def test_unallocatable_trial_grid_names_its_fields(tmp_path, capsys, section,
-                                                   patch, steps):
+def test_trial_grid_beyond_the_step_bound_names_its_fields(tmp_path, capsys,
+                                                          section, patch,
+                                                          steps):
+    # These grids used to fail to allocate (exit 3); the bound on trials x
+    # steps per trial now refuses them as a config error.
     out = tmp_path / "out"
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "preset": "fig4_sequence", "trials": 2,
         "overrides": {section: patch}, "out_dir": str(out)}))
-    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_RUNTIME
+    assert main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert steps in err
+    assert f"2 trials of {steps}" in err
     for name in ("network.dt", "network.lead", "network.tail", "pattern.gap",
                  "trains 0.50001 s long"):
         assert name in err
+    assert not out.exists()
+
+
+def test_detect_trials_beyond_the_step_bound_is_config_error(tmp_path,
+                                                            capsys):
+    # Under a 2.5 GB address-space limit this used to exit 3 with numpy's
+    # "Unable to allocate 95.4 MiB", naming no field.
+    out = tmp_path / "out"
+    assert main(["detect", "--topology", "sequence", "--pattern", "ab",
+                 "--trials", str(10 ** 8), "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("trials * steps per trial must be at most 1e+10, got 100000000 "
+            "trials of 1851 steps") in err
     assert not out.exists()
 
 

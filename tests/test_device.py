@@ -186,6 +186,36 @@ def test_the_least_barrier_is_crossed_within_its_tolerance():
     assert state.g_eq == 2.5e-6 + params.dg_nv and state.acc == 0.0
 
 
+# Each public function that hands a state to the kernel, driven once.
+KERNEL_ENTRIES = {
+    "apply_pulse": lambda s, p: dev.apply_pulse(s, p, _pulse()),
+    "iv_sweep": lambda s, p: dev.iv_sweep(s, p, np.full(4, 2.0), 1e-3),
+    "apply_train": lambda s, p: protocols.apply_train(s, p, PulseTrain(), 0.0),
+    "train_trace": lambda s, p: protocols.train_trace(
+        s, p, PulseTrain(), 0.0, 1e-3),
+    "run_protocol": lambda s, p: protocols.run_protocol(
+        s, p, ExperimentPlan(repeats=2), np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", KERNEL_ENTRIES)
+def test_kernel_entries_refuse_a_state_outside_the_conductance_bounds(
+        params, state, entry):
+    # Below g_min the barrier falls under e0, which the kernel's guard
+    # assumes it never does: such a state kept the energy of a sub-threshold
+    # pulse that crossed its barrier.
+    for g_eq in (2.0e-6, math.nextafter(params.g_min, 0.0),
+                 math.nextafter(params.g_max, 1.0), math.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                f"must lie in [g_min, g_max] = [{params.g_min!r}, "
+                f"{params.g_max!r}]")) as err:
+            KERNEL_ENTRIES[entry](dataclasses.replace(state, g_eq=g_eq),
+                                  params)
+        assert f"g_eq={g_eq!r}" in str(err.value)
+    for g_eq in (params.g_min, params.g_max):
+        KERNEL_ENTRIES[entry](dataclasses.replace(state, g_eq=g_eq), params)
+
+
 @pytest.mark.parametrize("w", [math.nan, 0.0, -1e-5])
 def test_kernel_width_check_refuses_nan(params, state, w):
     with pytest.raises(ValueError, match="pulse width w must be > 0"):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,35 @@ def test_pattern_gap_validation():
 
 def _sequence(**fields):
     return replace(build_detector("sequence_detector"), **fields)
+
+
+# A tail that ends the default sequence trial at 2,000 steps of 1 ms, which
+# divides the bound: 5e6 trials take exactly 1e10 trial steps.
+_TAIL_2000_STEPS = 0.64998
+
+
+@pytest.mark.parametrize("fields, trials, steps", [
+    ({"tail": _TAIL_2000_STEPS}, 5_000_001, "2000"),
+    ({}, 10 ** 8, "1851"),
+    ({"dt": 1e-14}, 1, "1.85002e+14"),
+])
+def test_detector_batch_refuses_more_than_1e10_trial_steps(fields, trials,
+                                                           steps):
+    # 1e8 trials of the default sequence detector failed to allocate a
+    # (1, 1e8) array, naming no field. No trial is simulated here.
+    net = _sequence(**fields)
+    message = re.escape(f"trials * steps per trial must be at most 1e+10, "
+                        f"got {trials} trials of {steps} steps of "
+                        f"network.dt={net.dt:g} s over ")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        network.check_trial_steps(net, PatternSpec(), trials)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        monte_carlo(net, PatternSpec(), trials, 0)
+
+
+def test_detector_batch_takes_1e10_trial_steps():
+    network.check_trial_steps(_sequence(tail=_TAIL_2000_STEPS), PatternSpec(),
+                              5_000_000)
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])

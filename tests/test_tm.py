@@ -138,6 +138,33 @@ def test_peaks_with_jacobian_rows_equal_one_row_calls_exactly():
         assert jac[row].tolist() == one_jac[0].tolist()
 
 
+def _layout(arr):
+    # The stride of a length-1 axis never moves through memory.
+    return arr.shape, [s for s, d in zip(arr.strides, arr.shape) if d > 1]
+
+
+def test_peaks_with_jacobian_equals_array_fold_bit_for_bit():
+    # Seeded draws over the fit's box, with times given as floats and as
+    # numpy scalars (the CLI reads a column into np.float64s). The layout
+    # is pinned too: the fit's sums over these arrays depend on it.
+    rng = np.random.default_rng(3232)
+    for draw in range(2000):
+        rows, n = int(rng.integers(1, 13)), int(rng.integers(2, 81))
+        times = (rng.uniform(-1.0, 1.0)
+                 + np.cumsum(rng.uniform(1e-4, 0.5, n))).tolist()
+        if draw % 2:
+            times = [np.float64(t) for t in times]
+        u_cap = rng.uniform(1e-3, 1.0, rows)
+        tau_rec, tau_f = 10.0 ** rng.uniform(-3.0, 2.0, (2, rows))
+        a = float(rng.choice([0.7, 1.0 + 2.0 ** -30, 3.5]))
+        peaks, jac = tm.peaks_with_jacobian(u_cap, tau_rec, tau_f, times, a=a)
+        ref_peaks, ref_jac = oracles.peaks_with_jacobian_rows(
+            u_cap, tau_rec, tau_f, times, a=a)
+        for got, ref in ((peaks, ref_peaks), (jac, ref_jac)):
+            assert _layout(got) == _layout(ref)
+            assert got.tobytes() == ref.tobytes(), draw
+
+
 def test_long_gap_resets_to_rest_peak():
     p = TMParams(a=1.0, u_cap=0.17, tau_f=0.3, tau_rec=0.1)
     peaks = tm.peaks_for_train(p, [0.0, 100.0, 200.0])
